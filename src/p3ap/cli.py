@@ -13,6 +13,7 @@ import sys
 from . import instances, io, structure
 from .core import (
     CostArray,
+    CostRangeError,
     LatinRectangle,
     check_rows,
     cost,
@@ -55,7 +56,7 @@ def _load_instance(path) -> CostArray:
         raise CliError("an --input instance file is required")
     try:
         return io.load_instance(path)
-    except (OSError, io.FormatError, DimensionError) as e:
+    except (OSError, io.FormatError, DimensionError, CostRangeError) as e:
         raise CliError(f"cannot read instance {path}: {e}")
 
 

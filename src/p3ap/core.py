@@ -22,6 +22,10 @@ class InfeasibleSolutionError(ValueError):
     """A grid violates the Latin row/column constraints."""
 
 
+class CostRangeError(ValueError):
+    """Cost entries too large for exact int64 cost sums and Monge checks."""
+
+
 @dataclass(frozen=True)
 class CostArray:
     """n x n x p integer cost tensor; entries[i-1, j-1, k-1] is c_{ijk}."""
@@ -35,6 +39,14 @@ class CostArray:
         n, _, p = a.shape
         if not 1 <= p <= n:
             raise DimensionError(f"need 1 <= p <= n, got n={n}, p={p}")
+        # A solution sums n*p entries and a Monge check compares sums of up
+        # to four, all in int64.
+        top = max(int(a.max()), -int(a.min()))
+        if max(4, n * p) * top >= 2**63:
+            raise CostRangeError(
+                f"cost entries up to {top} in absolute value overflow int64 "
+                f"sums: need max(4, n*p) * max|c| < 2^63 (n={n}, p={p})"
+            )
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)

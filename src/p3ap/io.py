@@ -43,7 +43,7 @@ def _parse_tensor(lines, n: int, p: int) -> np.ndarray:
                 )
             try:
                 entries[i, :, k] = [int(v) for v in values]
-            except ValueError as e:
+            except (ValueError, OverflowError) as e:
                 raise FormatError(f"layer {k + 1}, row {i + 1}: {e}")
     return entries
 
@@ -132,12 +132,24 @@ def instance_from_json(text: str) -> CostArray:
         n, p, layers = obj["n"], obj["p"], obj["layers"]
     except (KeyError, TypeError):
         raise FormatError("JSON instance needs fields n, p, layers")
-    if len(layers) != p:
-        raise FormatError(f"expected {p} layers, got {len(layers)}")
-    entries = np.empty((n, n, p), dtype=np.int64)
+    if type(n) is not int or type(p) is not int or n < 1 or p < 1:
+        raise FormatError(f"JSON instance needs integers n, p >= 1, got n={n!r}, p={p!r}")
+    if not isinstance(layers, list) or len(layers) != p:
+        raise FormatError(f"expected a list of {p} layers")
     for k, plane in enumerate(layers):
-        entries[:, :, k] = plane
-    return CostArray(entries)
+        if (
+            not isinstance(plane, list)
+            or len(plane) != n
+            or any(not isinstance(row, list) or len(row) != n for row in plane)
+        ):
+            raise FormatError(f"layer {k + 1} must be a list of {n} rows of {n} entries")
+        if any(type(v) is not int for row in plane for v in row):
+            raise FormatError(f"layer {k + 1} holds a non-integer entry")
+    try:
+        entries = np.array(layers, dtype=np.int64)
+    except OverflowError as e:
+        raise FormatError(f"entry out of int64 range: {e}")
+    return CostArray(entries.transpose(1, 2, 0))
 
 
 def parse_solution_rows(text: str):
@@ -160,7 +172,7 @@ def load_solution_rows(path):
         try:
             obj = json.loads(text)
             rows = tuple(tuple(int(v) for v in row) for row in obj["rows"])
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError) as e:
             raise FormatError(f"bad JSON solution: {e}")
         return rows
     return parse_solution_rows(text)

@@ -28,6 +28,15 @@ class NotLayeredMongeError(ValueError):
     """The banded DP requires a layered Monge instance unless overridden."""
 
 
+class OptimaLimitError(OracleSizeLimitError):
+    """Too many optimal rectangles in the band to list them all."""
+
+
+# All-optima mode lists at most this many cells (optima * n * p).  Optima
+# multiply along the rows: gen_random_layered_monge(1200, 2, 3) has ~4.3e23.
+_MAX_LISTED_CELLS = 1 << 24
+
+
 @dataclass
 class SolveReport:
     optimum: int
@@ -153,9 +162,13 @@ def solve_dp(
     (4p-4)-tuple of column content subsets over columns i-2p+3 .. i+2p-2
     (out-of-range slots count as virtually complete), keeping minimal cost.
 
-    Two interchangeable engines: "packed" encodes the whole signature in one
-    machine integer and runs each step as a few vector operations (used when
-    p*(4p-4) fits in 63 bits), "reference" is the plain dict-based version.
+    Two interchangeable engines.  "auto" runs the fixed-graph engine while
+    a signature fits in one machine integer (p <= 4).  A row's states and
+    transitions depend only on p, on how far its window is clipped by the
+    array's edges and on the incoming states, never on the costs, so each
+    row's transition graph is built once per process and cached, and a
+    solve only adds costs along its edges and takes minima.  "reference"
+    is the plain dict-based version, which "auto" also runs for p >= 5.
     Both retain states in increasing packed-signature order and break cost
     ties toward the earlier (predecessor order, then placement order)
     candidate, so they produce identical reports.
@@ -167,9 +180,9 @@ def solve_dp(
             "Monge arrays (pass force=True to run anyway)"
         )
     if method == "auto":
-        method = "packed" if p * (4 * p - 4) <= 62 else "reference"
-    if method == "packed":
-        return _solve_dp_packed(C, all_optima_in_band)
+        if p * (4 * p - 4) <= 62:
+            return _solve_dp_graph(C, all_optima_in_band)
+        method = "reference"
     if method == "reference":
         return _solve_dp_reference(C, all_optima_in_band)
     raise ValueError(f"unknown DP method {method!r}")
@@ -208,155 +221,179 @@ def _init_sig(n: int, p: int):
     return tuple(full if not 1 <= c <= n else 0 for c in range(3 - 2 * p, 2 * p - 1))
 
 
-def _solve_dp_packed(C: CostArray, all_optima: bool) -> SolveReport:
+def _row_clip(i: int, n: int, p: int):
+    """Columns of row i's extended window i-2p+2 .. i+2p-2 that lie off the
+    array, on the left and on the right."""
+    return max(0, 2 * p - 1 - i), max(0, i + 2 * p - 2 - n)
+
+
+class _RowGraph:
+    """Cost-free transitions of one row, in window-relative coordinates.
+
+    Edge e leads from incoming state src[e] through placement t[e] to a
+    target state; edges are sorted by (target signature, src), and for a
+    given source and target the placement is unique, so this is also the
+    tie-break order.  Target j owns the edges starts[j] .. starts[j] +
+    counts[j] - 1.  next maps the clipping of the following row to its graph.
+    """
+
+    def __init__(self, p: int, clip, in_sigs: np.ndarray):
+        lclip, rclip = clip
+        full = (1 << p) - 1
+        width = 4 * p - 4
+        # Placements as column offsets from the extended window's left edge
+        # (which leaves the window after this row), lexicographic as in
+        # _row_placements.
+        self.pls = list(itertools.permutations(range(lclip, width - rclip + 1), p))
+        self.flat = np.array(
+            [[c * p + k for k, c in enumerate(pl)] for pl in self.pls], dtype=np.intp
+        )
+        # Extend each incoming window by its new right column, which counts
+        # as complete when it lies off the array.
+        ext = in_sigs + ((full if rclip else 0) << (p * width))
+        # A placement fits when it hits no filled slot and, if the leaving
+        # column (slot 0) is in the array, completes it.
+        lead = 0 if lclip else full
+        cand_sig, cand_src, sizes = [], [], []
+        for pl in self.pls:
+            add = 0
+            for k, c in enumerate(pl):
+                add |= 1 << (p * c + k)
+            sel = np.flatnonzero((ext & (add | lead)) == (lead & ~add))
+            cand_sig.append((ext[sel] | add) >> p)
+            cand_src.append(sel)
+            sizes.append(sel.size)
+        sig = np.concatenate(cand_sig)
+        src = np.concatenate(cand_src)
+        del cand_sig, cand_src
+        if not sig.size:
+            raise RuntimeError("internal error: no feasible band-limited extension")
+        T = len(self.pls)
+        t = np.repeat(np.arange(T, dtype=np.min_scalar_type(T - 1)), sizes)
+        order = _edge_order(sig, src, in_sigs.size, p * width)
+        sig = sig[order]
+        self.src = src[order].astype(np.int32)
+        self.t = t[order]
+        first = np.ones(sig.size, dtype=bool)
+        first[1:] = sig[1:] != sig[:-1]
+        self.starts = np.flatnonzero(first)
+        self.counts = np.diff(np.append(self.starts, sig.size))
+        self.sigs = sig[self.starts]
+        self.nbytes = sum(
+            a.nbytes for a in (self.flat, self.src, self.t, self.starts, self.counts, self.sigs)
+        )
+        self.next: dict = {}
+
+    def placement(self, t: int, base: int) -> tuple:
+        return tuple(base + c for c in self.pls[t])
+
+
+def _edge_order(sig, src, src_count: int, sig_bits: int) -> np.ndarray:
+    """Order of edges by (sig, src): one argsort of a packed key when both
+    fit in 63 bits, as they always do for p <= 3, else a two-key lexsort."""
+    src_bits = max(1, (src_count - 1).bit_length())
+    if sig_bits + src_bits <= 63:
+        return np.argsort((sig << src_bits) | src)
+    return np.lexsort((src, sig))
+
+
+# Row graphs keyed by (p, clipping, incoming signatures).  Interior rows of
+# every instance with the same p share one graph, so the cache stays small:
+# all graphs of p = 3 hold about 16.9 M edges and 114 MiB.  Past
+# _GRAPH_CACHE_BYTES it is emptied before the next insertion.
+_GRAPH_CACHE_BYTES = 256 << 20
+_GRAPHS: dict = {}
+
+
+def _next_graph(prev: Optional[_RowGraph], p: int, clip, in_sigs: np.ndarray) -> _RowGraph:
+    g = prev.next.get(clip) if prev is not None else None
+    if g is None:
+        key = (p, clip, in_sigs.tobytes())
+        g = _GRAPHS.get(key)
+        if g is None:
+            g = _RowGraph(p, clip, in_sigs)
+            held = sum(h.nbytes for h in _GRAPHS.values())
+            if held + g.nbytes > _GRAPH_CACHE_BYTES:
+                _GRAPHS.clear()
+            _GRAPHS[key] = g
+        if prev is not None:
+            prev.next[clip] = g
+    return g
+
+
+def _solve_dp_graph(C: CostArray, all_optima: bool) -> SolveReport:
     t0 = time.perf_counter()
     n, p = C.n, C.p
-    full = (1 << p) - 1
     width = 4 * p - 4
-    entries = C.entries
+    # Row i of the array, flattened: entry (j, k) sits at (j - 1) * p + k.
+    row_costs = C.entries.reshape(n, n * p)
 
+    g = None
     sigs = np.array([_pack_sig(_init_sig(n, p), p)], dtype=np.int64)
     costs = np.zeros(1, dtype=np.int64)
-    # Per step: placements, first-predecessor arrays, and (optionally) all
-    # cost-tied predecessors as (state_group, prev_index, placement) triples.
-    step_pls = [None]
-    step_pred = [None]
-    step_opt = [None]
+    graphs, preds, ties = [], [], []
     state_counts = [1]
-    states_explored = 1
-
     for i in range(1, n + 1):
-        pls = _row_placements(i, n, p)
-        T = len(pls)
-        base = i - 2 * p + 2  # leftmost column of the extended window
-        right_col = i + 2 * p - 2
-        leave_in_range = 1 <= base <= n
-        # Extend the window by the newly reachable right column.
-        right_mask = 0 if right_col <= n else full
-        ext = sigs + (right_mask << (p * width))
-        lo = max(1, i - 2 * p + 2)
-        ci = entries[i - 1, lo - 1 : min(n, right_col)].T.tolist()
-
-        adds = np.empty(T, dtype=np.int64)
-        deltas = np.empty(T, dtype=np.int64)
-        for t, pl in enumerate(pls):
-            add = 0
-            delta = 0
-            for k, col in enumerate(pl):
-                add |= 1 << (p * (col - base) + k)
-                delta += ci[k][col - lo]
-            adds[t] = add
-            deltas[t] = delta
-
-        cand_sig, cand_cost, cand_prev, cand_t = [], [], [], []
-        for t in range(T):
-            add = adds[t]
-            sel = np.nonzero((ext & add) == 0)[0]
-            if not sel.size:
-                continue
-            new_ext = ext[sel] + add
-            if leave_in_range:
-                keep = (new_ext & full) == full
-                sel = sel[keep]
-                if not sel.size:
-                    continue
-                new_ext = new_ext[keep]
-            cand_sig.append(new_ext >> p)
-            cand_cost.append(costs[sel] + deltas[t])
-            cand_prev.append(sel)
-            cand_t.append(np.full(sel.size, t, dtype=np.int64))
-        if not cand_sig:
-            raise RuntimeError(
-                f"internal error: no feasible band-limited extension at row {i}"
-            )
-        cand_sig = np.concatenate(cand_sig)
-        cand_cost = np.concatenate(cand_cost)
-        cand_prev = np.concatenate(cand_prev)
-        cand_t = np.concatenate(cand_t)
-        rank = cand_prev * T + cand_t
-
-        order = np.lexsort((rank, cand_cost, cand_sig))
-        cand_sig = cand_sig[order]
-        cand_cost = cand_cost[order]
-        cand_prev = cand_prev[order]
-        cand_t = cand_t[order]
-        first = np.ones(cand_sig.size, dtype=bool)
-        first[1:] = cand_sig[1:] != cand_sig[:-1]
-        starts = np.nonzero(first)[0]
-
-        sigs = cand_sig[starts]
-        costs = cand_cost[starts]
-        step_pls.append(pls)
-        step_pred.append((cand_prev[starts], cand_t[starts]))
-        if all_optima:
-            group = np.cumsum(first) - 1
-            tied = cand_cost == costs[group]
-            step_opt.append((group[tied], cand_prev[tied], cand_t[tied]))
-        else:
-            step_opt.append(None)
+        g = _next_graph(g, p, _row_clip(i, n, p), sigs)
+        base = i - 2 * p + 2
+        delta = row_costs[i - 1, (base - 1) * p + g.flat].sum(axis=1)
+        cand = costs[g.src]
+        cand += delta[g.t]
+        costs = np.minimum.reduceat(cand, g.starts)
+        hit = np.flatnonzero(cand == np.repeat(costs, g.counts))
+        # Each target has at least one minimal edge; the first is its
+        # earliest in tie-break order.
+        if all_optima or hit.size != costs.size:
+            owner = np.searchsorted(g.starts, hit, side="right") - 1
+            first = np.ones(hit.size, dtype=bool)
+            first[1:] = owner[1:] != owner[:-1]
+            if all_optima:
+                ties.append((owner, hit))
+            hit = hit[first]
+        graphs.append(g)
+        preds.append(hit.astype(np.int32))
+        sigs = g.sigs
         state_counts.append(sigs.size)
-        states_explored += sigs.size
 
     target = (1 << (p * width)) - 1 if width else 0
-    final = np.nonzero(sigs == target)[0]
+    final = np.flatnonzero(sigs == target)
     if final.size != 1:
         raise RuntimeError(
             f"internal error: expected exactly one final state, got {final.size}"
         )
-    optimum = int(costs[final[0]])
+    final_state = int(final[0])
+    optimum = int(costs[final_state])
 
-    placements = []
-    state = int(final[0])
+    placements = [None] * n
+    state = final_state
     for i in range(n, 0, -1):
-        prev_arr, t_arr = step_pred[i]
-        placements.append(step_pls[i][int(t_arr[state])])
-        state = int(prev_arr[state])
-    placements.reverse()
+        g = graphs[i - 1]
+        e = preds[i - 1][state]
+        placements[i - 1] = g.placement(int(g.t[e]), i - 2 * p + 2)
+        state = int(g.src[e])
     solution = _rect_from_placements(placements, n, p)
 
     report = SolveReport(
         optimum=optimum,
         solution=solution,
         solver="dp",
-        states_explored=states_explored,
+        states_explored=sum(state_counts),
         wall_ms=(time.perf_counter() - t0) * 1e3,
         state_counts=state_counts,
     )
     if all_optima:
-        seqs = _trace_all_packed(step_pls, step_opt, int(final[0]), n)
+        tied_by_row = []
+        for i, (g, (owner, hit)) in enumerate(zip(graphs, ties), start=1):
+            base = i - 2 * p + 2
+            by_state: dict = {}
+            for s, src, t in zip(owner.tolist(), g.src[hit].tolist(), g.t[hit].tolist()):
+                by_state.setdefault(s, []).append((src, g.placement(t, base)))
+            tied_by_row.append(by_state)
+        seqs = _enumerate_optima(n, p, final_state, lambda i, s: tied_by_row[i - 1][s])
         report.all_optima = [_rect_from_placements(s, n, p) for s in seqs]
         report.optima_count = len(seqs)
         report.unique_in_band = len(seqs) == 1
     return report
-
-
-def _trace_all_packed(step_pls, step_opt, final_state: int, n: int):
-    """Every optimal placement sequence via the tied-predecessor arrays."""
-    preds_by_step = []
-    for i in range(n + 1):
-        opt = step_opt[i]
-        if opt is None:
-            preds_by_step.append(None)
-            continue
-        group, prev, t = opt
-        by_state: dict = {}
-        for g, pr, tt in zip(group.tolist(), prev.tolist(), t.tolist()):
-            by_state.setdefault(g, []).append((pr, tt))
-        preds_by_step.append(by_state)
-
-    results = []
-
-    def rec(i, state, acc):
-        if i == 0:
-            results.append(list(reversed(acc)))
-            return
-        for prev, t in preds_by_step[i][state]:
-            acc.append(step_pls[i][t])
-            rec(i - 1, prev, acc)
-            acc.pop()
-
-    rec(n, final_state, [])
-    return results
 
 
 def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
@@ -411,7 +448,7 @@ def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
             raise RuntimeError(
                 f"internal error: no feasible band-limited extension at row {i}"
             )
-        # Retain in increasing packed-signature order to match the packed engine.
+        # Retain in increasing packed-signature order to match the graph engine.
         cur_states = dict(
             sorted(cur_states.items(), key=lambda kv: _pack_sig(kv[0], p))
         )
@@ -447,7 +484,7 @@ def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
         state_counts=state_counts,
     )
     if all_optima:
-        seqs = _trace_all(steps, final_sig, n)
+        seqs = _enumerate_optima(n, p, final_sig, lambda i, sig: steps[i][sig][1])
         report.all_optima = [_rect_from_placements(s, n, p) for s in seqs]
         report.optima_count = len(seqs)
         report.unique_in_band = len(seqs) == 1
@@ -465,20 +502,44 @@ def _trace_first(steps, final_sig, n):
     return placements[1:]
 
 
-def _trace_all(steps, final_sig, n):
-    """Every optimal placement sequence reachable through stored predecessors."""
+def _enumerate_optima(n, p, final_state, tied):
+    """Every optimal placement sequence, by an explicit-stack depth-first walk.
+
+    tied(i, state) lists the (predecessor, placement) pairs of row i that
+    reach state at its optimal cost, in tie-break order.  Sequences come out
+    in depth-first order from the final state; an explicit stack keeps the
+    depth independent of the recursion limit.  Raises OptimaLimitError
+    before listing more than _MAX_LISTED_CELLS cells.
+    """
+    # Count the paths through the tied predecessors first, row by row.
+    paths = {final_state: 1}
+    for i in range(n, 0, -1):
+        below: dict = {}
+        for state, count in paths.items():
+            for prev, _ in tied(i, state):
+                below[prev] = below.get(prev, 0) + count
+        paths = below
+    (total,) = paths.values()
+    if total * n * p > _MAX_LISTED_CELLS:
+        raise OptimaLimitError(
+            f"{total} optimal rectangles in the band: too many to list "
+            f"(limit {_MAX_LISTED_CELLS} cells, n={n}, p={p})"
+        )
     results = []
-
-    def rec(i, sig, acc):
-        if i == 0:
-            results.append(list(reversed(acc)))
-            return
-        for prev_sig, placement in steps[i][sig][1]:
-            acc.append(placement)
-            rec(i - 1, prev_sig, acc)
-            acc.pop()
-
-    rec(n, final_sig, [])
+    acc = [None] * n
+    stack = [iter(tied(n, final_state))]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            continue
+        i = n + 1 - len(stack)
+        prev, placement = step
+        acc[i - 1] = placement
+        if i == 1:
+            results.append(list(acc))
+        else:
+            stack.append(iter(tied(i - 1, prev)))
     return results
 
 

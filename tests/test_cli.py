@@ -123,3 +123,29 @@ def test_module_entry_point(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 10 and payload["p"] == 3
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("huge-entry.txt", "2 1\n99999999999999999999 0\n0 0\n"),
+        ("wide-layer.json", '{"n": 2, "p": 1, "layers": [[[0, 0, 0], [0, 0, 0]]]}'),
+        ("empty.json", '{"n": 0, "p": 1, "layers": [[]]}'),
+        ("no-layers.json", '{"n": 1, "p": 0, "layers": []}'),
+        # Entries whose sums wrap in int64; once solved to -2^63.
+        ("wraps.txt", "2 1\n4611686018427387904 0\n0 4611686018427387904\n"),
+    ],
+)
+def test_unreadable_instance_exit_code(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["solve", "--input", str(path)]) == 2
+    assert "cannot read instance" in capsys.readouterr().err
+
+
+def test_solve_all_optima_limit_exit_code(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    assert main(["gen", "random-monge", "--n", "1200", "--p", "2", "--seed", "3",
+                 "--output", str(path)]) == 0
+    assert main(["solve", "--input", str(path), "--solver", "dp", "--all-optima"]) == 3
+    assert "too many to list" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from p3ap import (
     to_partial_latin_square,
 )
 from p3ap.core import (
+    CostRangeError,
     DimensionError,
     InfeasibleSolutionError,
     check_rows,
@@ -70,6 +71,24 @@ def test_cost_array_rejects_bad_shapes():
         CostArray(np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(DimensionError):
         CostArray(np.zeros((2, 2, 3), dtype=np.int64))  # p > n
+
+
+def test_cost_array_rejects_entries_that_overflow_int64_sums():
+    # Once accepted, this layer passed the Monge check by wrapping around
+    # and solve_dp reported -2^63 instead of 0.
+    with pytest.raises(CostRangeError):
+        CostArray(np.array([[2**62, 0], [0, 2**62]], dtype=np.int64)[:, :, None])
+    # The bound is max(4, n*p) * max|c| < 2^63, so small arrays are held to 4.
+    limit = (2**63 - 1) // 4
+    CostArray(np.full((2, 2, 1), -limit, dtype=np.int64))
+    with pytest.raises(CostRangeError):
+        CostArray(np.full((2, 2, 1), -(limit + 1), dtype=np.int64))
+    limit = (2**63 - 1) // 15
+    CostArray(np.full((5, 5, 3), limit, dtype=np.int64))
+    with pytest.raises(CostRangeError):
+        CostArray(np.full((5, 5, 3), limit + 1, dtype=np.int64))
+    with pytest.raises(CostRangeError):
+        CostArray(np.full((2, 2, 1), -(2**63), dtype=np.int64))
 
 
 def test_cost_array_is_immutable():

@@ -105,3 +105,35 @@ def test_malformed_inputs_raise():
         parse_solution_rows("")
     with pytest.raises(FormatError):
         parse_solution_rows("1 two\n")
+
+
+def test_out_of_range_entries_raise_format_error():
+    with pytest.raises(FormatError):
+        parse_instance("2 1\n99999999999999999999 0\n0 0\n")  # beyond int64
+    with pytest.raises(FormatError):
+        instance_from_json('{"n": 1, "p": 1, "layers": [[[99999999999999999999]]]}')
+
+
+def test_malformed_json_instances_raise_format_error():
+    bad = [
+        {"n": 2, "p": 1, "layers": [[[0, 0, 0], [0, 0, 0]]]},  # 2 x 3 layer
+        {"n": 2, "p": 1, "layers": [[[0, 0]]]},  # too few rows
+        {"n": 2, "p": 1, "layers": [[[0, "x"], [0, 0]]]},  # not an integer
+        {"n": 2, "p": 1, "layers": [[[0, 1.5], [0, 0]]]},  # not an integer
+        {"n": 2, "p": 1, "layers": [[0, 0]]},  # rows are not lists
+        {"n": 0, "p": 1, "layers": [[]]},
+        {"n": 1, "p": 0, "layers": []},
+        {"n": 1, "p": -1, "layers": []},
+        {"n": "2", "p": 1, "layers": [[[0, 0], [0, 0]]]},
+        {"n": 1, "p": 1, "layers": 5},
+    ]
+    for doc in bad:
+        with pytest.raises(FormatError):
+            instance_from_json(json.dumps(doc))
+
+
+def test_bad_json_solution_entries_raise_format_error(tmp_path):
+    path = tmp_path / "sol.json"
+    path.write_text('{"rows": [[1, "two"]]}')
+    with pytest.raises(FormatError):
+        load_solution_rows(path)

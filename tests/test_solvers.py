@@ -5,10 +5,20 @@ import itertools
 import numpy as np
 import pytest
 
-from p3ap import CostArray, LatinRectangle, cost, solve_auto, solve_bruteforce, solve_dp
+from p3ap import (
+    CostArray,
+    LatinRectangle,
+    build_distribution_array,
+    cost,
+    solve_auto,
+    solve_bruteforce,
+    solve_dp,
+)
+from p3ap import solvers
 from p3ap.instances import gen_random_layered_monge, random_01_array
 from p3ap.solvers import (
     NotLayeredMongeError,
+    OptimaLimitError,
     OracleSizeLimitError,
     _row_placements,
 )
@@ -89,15 +99,83 @@ def test_dp_matches_bruteforce_small_grid():
                 assert solve_dp(C).optimum == solve_bruteforce(C).optimum
 
 
-def test_packed_and_reference_engines_agree():
+def report_fields(r):
+    """Everything a report says except its timing."""
+    fields = dict(vars(r))
+    del fields["wall_ms"]
+    return fields
+
+
+def test_default_and_reference_engines_agree():
+    # n = 12 and 16 at p = 2 run interior rows on one shared graph.
     for seed in range(8):
-        for n, p in ((4, 2), (5, 2), (6, 3), (7, 2), (5, 1)):
+        for n, p in ((4, 2), (5, 2), (6, 3), (7, 2), (5, 1), (12, 2), (16, 2)):
             C = gen_random_layered_monge(n, p, seed=seed)
-            a = solve_dp(C, all_optima_in_band=True, method="packed")
+            a = solve_dp(C, all_optima_in_band=True)
             b = solve_dp(C, all_optima_in_band=True, method="reference")
             assert a.optimum == b.optimum
             assert a.solution.rows == b.solution.rows
             assert a.all_optima == b.all_optima
+            assert a.state_counts == b.state_counts
+            assert a.states_explored == b.states_explored
+
+
+def test_dp_cold_and_warm_cache_reports_identical():
+    for n, p, seed in ((6, 3, 4), (12, 2, 5)):
+        C = gen_random_layered_monge(n, p, seed=seed)
+        solvers._GRAPHS.clear()
+        cold = solve_dp(C, all_optima_in_band=True)
+        cached = len(solvers._GRAPHS)
+        warm = solve_dp(C, all_optima_in_band=True)
+        assert len(solvers._GRAPHS) == cached  # the warm solve built nothing
+        assert report_fields(cold) == report_fields(warm)
+
+
+def test_dp_graph_cache_size_constant_in_n():
+    counts = []
+    for n in (30, 50):
+        solvers._GRAPHS.clear()
+        solve_dp(gen_random_layered_monge(n, 2, seed=n))
+        counts.append(len(solvers._GRAPHS))
+    assert counts[0] == counts[1]
+    # n = 50 reuses every graph of n = 30 and needs no other
+    solve_dp(gen_random_layered_monge(30, 2, seed=1))
+    assert len(solvers._GRAPHS) == counts[1]
+
+
+def test_edge_order_packed_key_and_lexsort_agree():
+    # p = 4 rows with more than 2^15 incoming states take the lexsort path.
+    rng = np.random.default_rng(0)
+    sig = rng.integers(0, 1 << 12, size=5000)
+    src = rng.permutation(5000)
+    packed = solvers._edge_order(sig, src, 5000, 12)
+    assert np.array_equal(packed, solvers._edge_order(sig, src, 5000, 60))
+    assert np.array_equal(packed, np.lexsort((src, sig)))
+
+
+def test_dp_method_choices():
+    C = gen_random_layered_monge(4, 2, seed=0)
+    assert solve_dp(C, method="reference").optimum == solve_dp(C).optimum
+    with pytest.raises(ValueError, match="unknown DP method"):
+        solve_dp(C, method="packed")
+
+
+def test_dp_all_optima_deep_instance():
+    # The all-optima walk once recursed once per row and failed past ~1000.
+    rng = np.random.default_rng(1200)
+    C = build_distribution_array(rng.integers(1, 1000, size=(1200, 1200, 2)))
+    for method in ("auto", "reference"):
+        r = solve_dp(C, all_optima_in_band=True, method=method)
+        assert r.optima_count == len(r.all_optima) >= 1
+        assert r.solution in r.all_optima
+
+
+def test_dp_all_optima_limit():
+    # This instance has about 4.3e23 optima in the band.
+    C = gen_random_layered_monge(1200, 2, 3)
+    for method in ("auto", "reference"):
+        with pytest.raises(OptimaLimitError, match="425492887034560669286400 optimal"):
+            solve_dp(C, all_optima_in_band=True, method=method)
 
 
 def test_dp_all_optima_are_optimal_and_unique_flag():
