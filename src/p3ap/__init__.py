@@ -6,8 +6,8 @@ from .core import (
     FeasibilityReport,
     LatinRectangle,
     PartialLatinSquare,
+    check_rows,
     cost,
-    is_feasible,
     to_latin_rectangle,
     to_partial_latin_square,
 )
@@ -42,8 +42,8 @@ __all__ = [
     "FeasibilityReport",
     "LatinRectangle",
     "PartialLatinSquare",
+    "check_rows",
     "cost",
-    "is_feasible",
     "to_latin_rectangle",
     "to_partial_latin_square",
     "DecompositionTerms",

@@ -1,7 +1,8 @@
 """Command-line front end: generate, solve, check, normalize, blocks.
 
 Exit codes: 0 success, 2 input or feasibility error, 3 resource limit.
-All randomness flows through --seed; identical configs give identical output.
+Only gen is random, and all its randomness flows through its --seed;
+identical commands give identical output.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ from .core import (
     CostArray,
     CostRangeError,
     LatinRectangle,
-    check_rows,
     cost,
     to_partial_latin_square,
     InfeasibleSolutionError,
     DimensionError,
 )
-from .monge import is_layered_monge
+from .monge import NotLayeredMongeError
 from .solvers import (
-    NotLayeredMongeError,
     OracleSizeLimitError,
     solve_auto,
     solve_bruteforce,
@@ -60,13 +59,21 @@ def _load_instance(path) -> CostArray:
         raise CliError(f"cannot read instance {path}: {e}")
 
 
-def _load_solution(path):
+def _load_rectangle(path, C: CostArray = None) -> LatinRectangle:
+    """The solution at path; raises InfeasibleSolutionError if it is not a
+    Latin rectangle and CliError if it does not fit the instance C."""
     if not path:
         raise CliError("a --solution file is required")
     try:
-        return io.load_solution_rows(path)
+        rows = io.load_solution_rows(path)
     except (OSError, io.FormatError) as e:
         raise CliError(f"cannot read solution {path}: {e}")
+    sol = LatinRectangle(rows=rows)
+    if C is not None and (sol.n != C.n or sol.p != C.p):
+        raise CliError(
+            f"dimension mismatch: solution {sol.p}x{sol.n}, instance {C.p}x{C.n}"
+        )
+    return sol
 
 
 def cmd_gen(args) -> int:
@@ -157,17 +164,11 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     C = _load_instance(args.input)
-    rows = _load_solution(args.solution)
-    verdict = check_rows(rows)
-    if not verdict:
-        _write(f"infeasible: {verdict.violation}\n", args.output)
+    try:
+        sol = _load_rectangle(args.solution, C)
+    except InfeasibleSolutionError as e:
+        _write(f"infeasible: {e}\n", args.output)
         return EXIT_INPUT
-    sol = LatinRectangle(rows=rows)
-    if sol.n != C.n or sol.p != C.p:
-        raise CliError(
-            f"dimension mismatch: solution {sol.p}x{sol.n}, instance "
-            f"{C.p}x{C.n}"
-        )
     value = cost(C, sol)
     band = structure.bandwidth(to_partial_latin_square(sol))
     partition = structure.block_decompose(sol)
@@ -192,20 +193,13 @@ def cmd_check(args) -> int:
 
 def cmd_normalize(args) -> int:
     C = _load_instance(args.input)
-    rows = _load_solution(args.solution)
-    verdict = check_rows(rows)
-    if not verdict:
-        raise CliError(f"infeasible solution: {verdict.violation}")
-    sol = LatinRectangle(rows=rows)
-    if sol.n != C.n or sol.p != C.p:
-        raise CliError(
-            f"dimension mismatch: solution {sol.p}x{sol.n}, instance {C.p}x{C.n}"
-        )
-    if not is_layered_monge(C):
-        raise CliError("normalize requires a layered Monge instance")
+    sol = _load_rectangle(args.solution, C)
     before_cost = cost(C, sol)
     before_band = structure.bandwidth(sol)
-    normalized = structure.band_normalize(sol, C)
+    try:
+        normalized = structure.band_normalize(sol, C)
+    except NotLayeredMongeError:
+        raise CliError("normalize requires a layered Monge instance")
     after_cost = cost(C, normalized)
     after_band = structure.bandwidth(normalized)
     sys.stderr.write(
@@ -219,11 +213,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    rows = _load_solution(args.solution or args.input)
-    verdict = check_rows(rows)
-    if not verdict:
-        raise CliError(f"infeasible solution: {verdict.violation}")
-    sol = LatinRectangle(rows=rows)
+    sol = _load_rectangle(args.solution or args.input)
     partition = structure.block_decompose(sol)
     _write(json.dumps(partition.to_list()) + "\n", args.output)
     return EXIT_OK
@@ -241,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", help="instance file (text or JSON)")
         sp.add_argument("--output", help="output file (default: stdout)")
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--threads", type=int, default=1, help="accepted for "
-                        "compatibility; results never depend on it")
 
     sp = sub.add_parser("gen", help="generate an instance")
     sp.add_argument(
@@ -257,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     common(sp)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--n", type=int)
     sp.add_argument("--p", type=int)
     sp.add_argument("--a-scale", type=int, default=10)
@@ -296,7 +284,10 @@ def main(argv=None) -> int:
     except CliError as e:
         sys.stderr.write(f"error: {e}\n")
         return e.code
-    except (InfeasibleSolutionError, DimensionError) as e:
+    except InfeasibleSolutionError as e:
+        sys.stderr.write(f"error: infeasible solution: {e}\n")
+        return EXIT_INPUT
+    except DimensionError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
 

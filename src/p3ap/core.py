@@ -9,7 +9,7 @@ filled cells carry layer labels 1..p.  All public indices are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -126,10 +126,6 @@ class PartialLatinSquare:
         if not ok:
             raise InfeasibleSolutionError(why)
 
-    def cell(self, i: int, j: int) -> Optional[int]:
-        v = self.cells[i - 1][j - 1]
-        return v if v else None
-
     def filled(self) -> Iterator[tuple]:
         """All (i, j, k) over filled cells."""
         for i, row in enumerate(self.cells, start=1):
@@ -199,23 +195,11 @@ class FeasibilityReport:
         return self.feasible
 
 
-def is_feasible(sol) -> FeasibilityReport:
-    """Check Latin constraints on a solution or on raw rows/cells.
-
-    Accepts LatinRectangle, PartialLatinSquare, or a `(rows)` tuple of row
-    tuples (treated as a rectangle).  Returns a report instead of raising.
-    """
-    if isinstance(sol, LatinRectangle):
-        return FeasibilityReport(True)
-    if isinstance(sol, PartialLatinSquare):
-        return FeasibilityReport(True)
-    rows = tuple(tuple(r) for r in sol)
-    ok, why = latin_rows_violation(rows)
-    return FeasibilityReport(ok, why)
-
-
 def check_rows(rows) -> FeasibilityReport:
-    """Feasibility of raw rectangle rows without constructing a LatinRectangle."""
+    """Latin rectangle feasibility of raw row tuples, or of a LatinRectangle
+    (always feasible); returns a report instead of raising."""
+    if isinstance(rows, LatinRectangle):
+        return FeasibilityReport(True)
     ok, why = latin_rows_violation(tuple(tuple(r) for r in rows))
     return FeasibilityReport(ok, why)
 

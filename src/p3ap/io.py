@@ -74,6 +74,8 @@ def parse_instance(text: str):
     if is_density:
         rest = rest[1:]
     entries = _parse_tensor(iter(rest), n, p)
+    if len(rest) > n * p:
+        raise FormatError(f"header '{n} {p}' announces {n * p} rows, got {len(rest)}")
     if is_density:
         return entries, True
     return CostArray(entries), False
@@ -171,9 +173,11 @@ def load_solution_rows(path):
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-            rows = tuple(tuple(int(v) for v in row) for row in obj["rows"])
+            rows = tuple(tuple(row) for row in obj["rows"])
         except (ValueError, KeyError, TypeError) as e:
             raise FormatError(f"bad JSON solution: {e}")
+        if any(type(v) is not int for row in rows for v in row):
+            raise FormatError("bad JSON solution: a row holds a non-integer entry")
         return rows
     return parse_solution_rows(text)
 

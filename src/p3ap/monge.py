@@ -15,6 +15,10 @@ import numpy as np
 from .core import CostArray, DimensionError
 
 
+class NotLayeredMongeError(ValueError):
+    """An operation that is exact only on layered Monge costs got other costs."""
+
+
 def is_monge_matrix(M) -> bool:
     """Adjacent 2x2 criterion: M[i,j] + M[i+1,j+1] <= M[i,j+1] + M[i+1,j]."""
     M = np.asarray(M, dtype=np.int64)
@@ -62,12 +66,7 @@ def is_monge_array(C: CostArray) -> bool:
     rectangular (n x p); the adjacent 2x2 criterion applies unchanged.
     """
     a = C.entries
-    for axis in range(3):
-        moved = np.moveaxis(a, axis, 0)
-        diff = moved[:, :-1, :-1] + moved[:, 1:, 1:] - moved[:, :-1, 1:] - moved[:, 1:, :-1]
-        if diff.size and diff.max() > 0:
-            return False
-    return True
+    return all(_adjacent_monge(np.moveaxis(a, axis, -1)) for axis in range(3))
 
 
 def build_distribution_array(density) -> CostArray:

@@ -17,15 +17,11 @@ from typing import List, Optional
 import numpy as np
 
 from .core import CostArray, LatinRectangle, PartialLatinSquare
-from .monge import is_layered_monge
+from .monge import NotLayeredMongeError, is_layered_monge
 
 
 class OracleSizeLimitError(ValueError):
     """Instance too large for exhaustive search; pass force=True to override."""
-
-
-class NotLayeredMongeError(ValueError):
-    """The banded DP requires a layered Monge instance unless overridden."""
 
 
 class OptimaLimitError(OracleSizeLimitError):
@@ -551,14 +547,19 @@ def _rect_from_placements(placements, n, p) -> LatinRectangle:
     return LatinRectangle(rows=tuple(tuple(r) for r in rows))
 
 
-def solve_auto(C: CostArray, **kwargs) -> SolveReport:
-    """Dispatch: banded DP on layered Monge inputs, else brute force."""
-    if is_layered_monge(C):
-        report = solve_dp(C, **kwargs)
+def solve_auto(C: CostArray, all_optima_in_band: bool = False) -> SolveReport:
+    """Dispatch: banded DP on layered Monge inputs, else brute force.
+
+    solve_dp's own layered Monge check picks the solver, so it runs once.
+    """
+    try:
+        report = solve_dp(C, all_optima_in_band=all_optima_in_band)
         report.solver = "dp (auto)"
         return report
+    except NotLayeredMongeError:
+        pass
     try:
-        report = solve_bruteforce(C, all_optima=kwargs.get("all_optima_in_band", False))
+        report = solve_bruteforce(C, all_optima=all_optima_in_band)
     except OracleSizeLimitError:
         raise OracleSizeLimitError(
             "no applicable exact solver: instance is not layered Monge and "

@@ -21,7 +21,7 @@ from .core import (
     to_latin_rectangle,
     to_partial_latin_square,
 )
-from .monge import is_layered_monge
+from .monge import NotLayeredMongeError, is_layered_monge
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def band_normalize(sol, C: CostArray):
     the Monge inequality on the layer makes every exchange non-increasing.
     """
     if not is_layered_monge(C):
-        raise ValueError("band_normalize requires a layered Monge cost array")
+        raise NotLayeredMongeError("band_normalize requires a layered Monge cost array")
     as_rectangle = isinstance(sol, LatinRectangle)
     square = to_partial_latin_square(sol) if as_rectangle else sol
     n, p = square.n, square.p

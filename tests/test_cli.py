@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +13,18 @@ from p3ap.cli import main
 from p3ap.instances import gen_random_layered_monge
 
 
+# The child process imports the same p3ap as the tests, also from a checkout.
+PACKAGE_ROOT = str(Path(p3ap_io.__file__).resolve().parents[1])
+
+
 def run_cli(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "p3ap.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -91,6 +100,25 @@ def test_check_and_blocks(monge_file, tmp_path, capsys):
     assert blocks[0]["from"] == 1 and blocks[-1]["to"] == 5
 
 
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
+def test_solve_rejects_removed_flags(monge_file, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", str(monge_file), *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_normalize_requires_layered_monge(tmp_path, capsys):
+    inst = tmp_path / "eye.txt"
+    inst.write_text("3 1\n1 0 0\n0 1 0\n0 0 1\n")
+    sol = tmp_path / "sol.txt"
+    sol.write_text("3 2 1\n")
+    assert main(["normalize", "--input", str(inst), "--solution", str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: normalize requires a layered Monge instance\n"
+
+
 def test_check_infeasible_exit_code(monge_file, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3 4 5\n1 2 3 4 5\n")
@@ -134,6 +162,9 @@ def test_module_entry_point(tmp_path):
         ("no-layers.json", '{"n": 1, "p": 0, "layers": []}'),
         # Entries whose sums wrap in int64; once solved to -2^63.
         ("wraps.txt", "2 1\n4611686018427387904 0\n0 4611686018427387904\n"),
+        # Lines beyond the header's n * p rows: a second layer, a third row.
+        ("two-layers.txt", "2 1\n0 1\n1 0\n\n0 1\n1 0\n"),
+        ("extra-row.txt", "2 1\n0 1\n1 0\n1 1\n"),
     ],
 )
 def test_unreadable_instance_exit_code(tmp_path, capsys, name, text):

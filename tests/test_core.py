@@ -10,8 +10,8 @@ from p3ap import (
     CostArray,
     LatinRectangle,
     PartialLatinSquare,
+    check_rows,
     cost,
-    is_feasible,
     to_latin_rectangle,
     to_partial_latin_square,
 )
@@ -19,7 +19,6 @@ from p3ap.core import (
     CostRangeError,
     DimensionError,
     InfeasibleSolutionError,
-    check_rows,
     cyclic_latin_square,
 )
 
@@ -135,6 +134,11 @@ def test_check_rows_reports_violation_location():
     assert "column 1" in rep.violation
 
 
+def test_check_rows_accepts_a_rectangle():
+    rep = check_rows(LatinRectangle(EXAMPLE_RECT))
+    assert rep.feasible and rep.violation == ""
+
+
 def test_partial_square_invariants():
     with pytest.raises(InfeasibleSolutionError):
         PartialLatinSquare(n=2, p=1, cells=((1, 1), (0, 0)))
@@ -194,8 +198,8 @@ def test_cost_invariant_under_representation():
 
 
 def test_is_feasible_on_example_and_perturbations():
-    assert is_feasible(EXAMPLE_RECT)
-    assert not is_feasible(((1, 2), (1, 2)))
+    assert check_rows(EXAMPLE_RECT)
+    assert not check_rows(((1, 2), (1, 2)))
     rng = random.Random(3)
     hits = 0
     for _ in range(100):

@@ -100,6 +100,8 @@ def test_malformed_inputs_raise():
     with pytest.raises(FormatError):
         parse_instance("2 1\n0 0\n")  # not enough rows
     with pytest.raises(FormatError):
+        parse_instance("2 1\n0 0\n0 0\n0 0\n")  # too many rows
+    with pytest.raises(FormatError):
         parse_instance("2 1\n0 x\n0 0\n")  # non-integer
     with pytest.raises(FormatError):
         parse_solution_rows("")
@@ -137,3 +139,9 @@ def test_bad_json_solution_entries_raise_format_error(tmp_path):
     path.write_text('{"rows": [[1, "two"]]}')
     with pytest.raises(FormatError):
         load_solution_rows(path)
+    # Floats, booleans and numeric strings are not integers, though int()
+    # would turn each into one.
+    for rows in ('[[1.9, 2.2, 3.7], [true, 3, 2]]', '[[1, "2"], [2, 1]]'):
+        path.write_text('{"rows": %s}' % rows)
+        with pytest.raises(FormatError):
+            load_solution_rows(path)

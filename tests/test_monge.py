@@ -17,6 +17,7 @@ from p3ap import (
     is_monge_matrix,
     make_triply_graded,
 )
+from p3ap.instances import gen_random_layered_monge
 from p3ap.monge import is_monge_matrix_by_definition, is_triply_graded
 from p3ap.solvers import solve_bruteforce
 
@@ -68,20 +69,47 @@ def test_monge_array_stronger_than_layered():
     assert not is_monge_array(C)
 
 
+def monge_array_by_definition(a):
+    """Every plane with one index fixed is Monge, checked quadruple by quadruple
+    (the planes with k free are n x p)."""
+    for axis in range(3):
+        for idx in range(a.shape[axis]):
+            M = np.take(a, idx, axis=axis)
+            rows, cols = M.shape
+            for i, k in itertools.combinations(range(rows), 2):
+                for j, l in itertools.combinations(range(cols), 2):
+                    if M[i, j] + M[k, l] > M[i, l] + M[k, j]:
+                        return False
+    return True
+
+
 def test_monge_array_on_small_search():
     # Exhaustive 2x2x2 0/-1 arrays: is_monge_array must equal the
     # fix-one-index definition in every case.
-    def by_definition(a):
-        for axis in range(3):
-            for idx in range(a.shape[axis]):
-                plane = np.take(a, idx, axis=axis)
-                if not is_monge_matrix_by_definition(plane):
-                    return False
-        return True
-
     for bits in itertools.product((0, -1), repeat=8):
         a = np.array(bits, dtype=np.int64).reshape(2, 2, 2)
-        assert is_monge_array(CostArray(a)) == by_definition(a)
+        assert is_monge_array(CostArray(a)) == monge_array_by_definition(a)
+
+
+def test_monge_array_matches_definition_on_random_arrays():
+    # Rectangular (n x p) planes included: Monge, layered Monge and
+    # unstructured arrays up to n = 6.
+    rng = np.random.default_rng(4)
+    verdicts = set()
+    for trial in range(120):
+        n = int(rng.integers(1, 7))
+        p = int(rng.integers(1, n + 1))
+        kind = trial % 3
+        if kind == 0:
+            C = build_distribution_array(rng.integers(0, 3, size=(n, n, p)))
+        elif kind == 1:
+            C = gen_random_layered_monge(n, p, int(rng.integers(1000)))
+        else:
+            C = CostArray(rng.integers(-3, 3, size=(n, n, p)))
+        verdict = is_monge_array(C)
+        assert verdict == monge_array_by_definition(C.entries)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_distribution_array_all_ones():

@@ -232,6 +232,19 @@ def test_auto_dispatch():
         assert solve_auto(rough).solver == "brute (auto)"
 
 
+def test_auto_checks_monge_once(monkeypatch):
+    calls = []
+    real = solvers.is_layered_monge
+
+    def counting(C):
+        calls.append(C)
+        return real(C)
+
+    monkeypatch.setattr(solvers, "is_layered_monge", counting)
+    assert solve_auto(gen_random_layered_monge(6, 2, seed=1)).solver == "dp (auto)"
+    assert len(calls) == 1
+
+
 def test_auto_no_applicable_solver():
     e = np.zeros((9, 9, 2), dtype=np.int64)
     e[:, :, 0] = np.eye(9)

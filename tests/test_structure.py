@@ -17,6 +17,7 @@ from p3ap import (
     to_partial_latin_square,
 )
 from p3ap.core import cyclic_latin_square
+from p3ap.monge import NotLayeredMongeError
 from p3ap.instances import (
     COUNTEREXAMPLE_CANDIDATE_ROWS,
     gen_random_layered_monge,
@@ -108,6 +109,14 @@ def test_bandwidth_example_square():
     # Direct scan of the worked 4x4 example: the widest filled offset is
     # cell (4,1), giving bandwidth 3.
     assert bandwidth(to_partial_latin_square(LatinRectangle(EXAMPLE_RECT))) == 3
+
+
+def test_band_normalize_rejects_non_monge_costs():
+    e = np.zeros((3, 3, 1), dtype=np.int64)
+    e[:, :, 0] = np.eye(3)
+    with pytest.raises(NotLayeredMongeError):
+        band_normalize(LatinRectangle(((1, 2, 3),)), CostArray(e))
+    assert issubclass(NotLayeredMongeError, ValueError)
 
 
 def test_band_normalize_in_band_is_identity():
