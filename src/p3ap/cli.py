@@ -17,7 +17,6 @@ from .core import (
     CostRangeError,
     LatinRectangle,
     cost,
-    to_partial_latin_square,
     InfeasibleSolutionError,
     DimensionError,
 )
@@ -170,7 +169,7 @@ def cmd_check(args) -> int:
         _write(f"infeasible: {e}\n", args.output)
         return EXIT_INPUT
     value = cost(C, sol)
-    band = structure.bandwidth(to_partial_latin_square(sol))
+    band = structure.bandwidth(sol)
     partition = structure.block_decompose(sol)
     if args.format == "json":
         payload = {

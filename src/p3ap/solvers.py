@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import CostArray, LatinRectangle, PartialLatinSquare
+from .core import CostArray, LatinRectangle
 from .monge import NotLayeredMongeError, is_layered_monge
 
 

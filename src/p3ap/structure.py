@@ -2,9 +2,9 @@
 and block decomposition of Latin rectangles.
 
 On layered Monge costs, exchanging two values within a row so that the
-smaller one moves left never increases cost; repeated diagonal-directed
-2-exchanges push every filled cell of an optimal partial Latin square into
-the band |i - j| <= 2p - 2 without losing optimality.
+smaller one moves left never increases cost; repeated exchanges of this kind,
+each a swap in one row of the Latin rectangle, push every entry
+i = rows[k-1][j-1] into the band |i - j| <= 2p - 2 without losing optimality.
 """
 
 from __future__ import annotations
@@ -12,15 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .core import (
-    CostArray,
-    LatinRectangle,
-    PartialLatinSquare,
-    check_rows,
-    cost,
-    to_latin_rectangle,
-    to_partial_latin_square,
-)
+from .core import CostArray, LatinRectangle, check_rows, cost
 from .monge import NotLayeredMongeError, is_layered_monge
 
 
@@ -68,76 +60,63 @@ def swap(
 
 
 def bandwidth(L) -> int:
-    """Maximum |i - j| over filled cells (0 for an empty grid)."""
+    """Maximum |i - j| over the cells (i, j) filled by a Latin rectangle
+    (i = rows[k-1][j-1]) or by a partial Latin square (0 for an empty grid)."""
     if isinstance(L, LatinRectangle):
-        L = to_partial_latin_square(L)
+        return max(abs(i - j) for i, j, _ in L.triples())
     return max((abs(i - j) for i, j, _ in L.filled()), default=0)
 
 
-def band_normalize(sol, C: CostArray):
-    """Move an arbitrary feasible solution into the band |i - j| <= 2p - 2.
+def band_normalize(sol: LatinRectangle, C: CostArray) -> LatinRectangle:
+    """Move a feasible Latin rectangle into the band |i - j| <= 2p - 2.
 
-    Requires layered Monge costs; the returned solution is feasible, never
-    costs more than the input, and in particular maps optima to optima.
-    Works on the partial square: pick a filled cell at maximal offset beyond
-    the band (smallest i, then j), find a same-layer partner in the opposite
-    quadrant whose cross cells are free (smallest q, then r), and 2-exchange;
-    the Monge inequality on the layer makes every exchange non-increasing.
+    Requires layered Monge costs; the returned rectangle never costs more
+    than the input, and in particular maps optima to optima.  Each step
+    takes the entry i = rows[k-1][j-1] farthest outside the band (smallest
+    i, then j).  Its partner is the smallest q, above i if j > i and below i
+    otherwise, whose column r in row k lies across j (r < j if j > i, r > j
+    otherwise) with i not in column r and q not in column j.  Swapping i and
+    q in row k moves the smaller value left, which the Monge inequality on
+    layer k makes non-increasing in cost.  Convert a PartialLatinSquare with
+    to_latin_rectangle first.
     """
+    if not isinstance(sol, LatinRectangle):
+        raise TypeError(
+            f"band_normalize takes a LatinRectangle, not {type(sol).__name__}; "
+            "convert a partial square with to_latin_rectangle"
+        )
     if not is_layered_monge(C):
         raise NotLayeredMongeError("band_normalize requires a layered Monge cost array")
-    as_rectangle = isinstance(sol, LatinRectangle)
-    square = to_partial_latin_square(sol) if as_rectangle else sol
-    n, p = square.n, square.p
+    n, p = sol.n, sol.p
     band = 2 * p - 2
-    cells = [list(row) for row in square.cells]
+    out = sol
 
     max_exchanges = n * p * 2 * n + 1
     for _ in range(max_exchanges):
-        worst = 0
-        pivot = None
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if cells[i - 1][j - 1] and abs(i - j) > max(worst, band):
-                    worst = abs(i - j)
-                    pivot = (i, j)
-        if pivot is None:
+        outside = [(-abs(i - j), i, j, k) for i, j, k in out.triples() if abs(i - j) > band]
+        if not outside:
             break
-        i, j = pivot
-        k = cells[i - 1][j - 1]
+        _, i, j, k = min(outside)
+        row = out.rows[k - 1]
+        columns = [set(c) for c in zip(*out.rows)]
         partner = None
-        if j > i:
-            # Candidate area: below and to the left of the pivot.
-            qs, rs = range(i + 1, n + 1), range(1, j)
-        else:
-            qs, rs = range(1, i), range(j + 1, n + 1)
-        for q in qs:
-            for r in rs:
-                if (
-                    cells[q - 1][r - 1] == k
-                    and not cells[i - 1][r - 1]
-                    and not cells[q - 1][j - 1]
-                ):
-                    partner = (q, r)
-                    break
-            if partner:
+        for q in range(i + 1, n + 1) if j > i else range(1, i):
+            r = row.index(q) + 1
+            # r is never j, because row k holds i in column j.
+            if (r < j) == (j > i) and i not in columns[r - 1] and q not in columns[j - 1]:
+                partner = q
                 break
         if partner is None:
             raise RuntimeError(
                 f"internal error: no exchange partner for pivot ({i},{j}) at "
-                f"offset {worst} > {band}; contradicts the bandwidth theorem"
+                f"offset {abs(i - j)} > {band}; contradicts the bandwidth theorem"
             )
-        q, r = partner
-        cells[i - 1][j - 1] = 0
-        cells[q - 1][r - 1] = 0
-        cells[i - 1][r - 1] = k
-        cells[q - 1][j - 1] = k
+        out = swap(out, min(i, partner), max(i, partner), k).rectangle
     else:
         raise RuntimeError("internal error: band normalization did not terminate")
 
-    result = PartialLatinSquare(n=n, p=p, cells=tuple(tuple(r) for r in cells))
-    assert cost(C, result) <= cost(C, square), "exchange increased cost"
-    return to_latin_rectangle(result) if as_rectangle else result
+    assert cost(C, out) <= cost(C, sol), "exchange increased cost"
+    return out
 
 
 @dataclass(frozen=True)

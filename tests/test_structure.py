@@ -16,7 +16,7 @@ from p3ap import (
     swap,
     to_partial_latin_square,
 )
-from p3ap.core import cyclic_latin_square
+from p3ap.core import PartialLatinSquare, cyclic_latin_square, to_latin_rectangle
 from p3ap.monge import NotLayeredMongeError
 from p3ap.instances import (
     COUNTEREXAMPLE_CANDIDATE_ROWS,
@@ -109,6 +109,13 @@ def test_bandwidth_example_square():
     # Direct scan of the worked 4x4 example: the widest filled offset is
     # cell (4,1), giving bandwidth 3.
     assert bandwidth(to_partial_latin_square(LatinRectangle(EXAMPLE_RECT))) == 3
+    assert bandwidth(LatinRectangle(EXAMPLE_RECT)) == 3
+    # The rectangle and its partial square have the same bandwidth.
+    pyrng = random.Random(9)
+    for _ in range(100):
+        n = pyrng.randint(1, 9)
+        rect = random_rectangle(n, pyrng.randint(1, min(n, 4)), pyrng)
+        assert bandwidth(rect) == bandwidth(to_partial_latin_square(rect))
 
 
 def test_band_normalize_rejects_non_monge_costs():
@@ -117,6 +124,81 @@ def test_band_normalize_rejects_non_monge_costs():
     with pytest.raises(NotLayeredMongeError):
         band_normalize(LatinRectangle(((1, 2, 3),)), CostArray(e))
     assert issubclass(NotLayeredMongeError, ValueError)
+
+
+def test_band_normalize_takes_rectangles_only():
+    C = gen_random_layered_monge(3, 1, seed=1)
+    square = to_partial_latin_square(LatinRectangle(((3, 2, 1),)))
+    with pytest.raises(TypeError, match="to_latin_rectangle"):
+        band_normalize(square, C)
+
+
+def grid_band_normalize(rect):
+    """The band normalization of the partial-square grid scan, kept as the
+    oracle for band_normalize's pivot and partner order."""
+    square = to_partial_latin_square(rect)
+    n, p = square.n, square.p
+    band = 2 * p - 2
+    cells = [list(row) for row in square.cells]
+
+    max_exchanges = n * p * 2 * n + 1
+    for _ in range(max_exchanges):
+        worst = 0
+        pivot = None
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if cells[i - 1][j - 1] and abs(i - j) > max(worst, band):
+                    worst = abs(i - j)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        i, j = pivot
+        k = cells[i - 1][j - 1]
+        partner = None
+        if j > i:
+            # Candidate area: below and to the left of the pivot.
+            qs, rs = range(i + 1, n + 1), range(1, j)
+        else:
+            qs, rs = range(1, i), range(j + 1, n + 1)
+        for q in qs:
+            for r in rs:
+                if (
+                    cells[q - 1][r - 1] == k
+                    and not cells[i - 1][r - 1]
+                    and not cells[q - 1][j - 1]
+                ):
+                    partner = (q, r)
+                    break
+            if partner:
+                break
+        assert partner is not None, f"no exchange partner for pivot ({i},{j})"
+        q, r = partner
+        cells[i - 1][j - 1] = 0
+        cells[q - 1][r - 1] = 0
+        cells[i - 1][r - 1] = k
+        cells[q - 1][j - 1] = k
+    else:
+        raise AssertionError("grid band normalization did not terminate")
+
+    return to_latin_rectangle(PartialLatinSquare(n=n, p=p, cells=tuple(map(tuple, cells))))
+
+
+def test_band_normalize_matches_grid_scan():
+    # Exact rows, so the pivot and partner order are pinned, on cyclic shifts
+    # of a permutation (as in perfbench's normalize-p2) and random rectangles.
+    pyrng = random.Random(41)
+    for n in range(1, 16):
+        for p in range(1, min(n, 4) + 1):
+            C = gen_random_layered_monge(n, p, seed=n * 10 + p)
+            inputs = []
+            for _ in range(3):
+                perm = pyrng.sample(range(1, n + 1), n)
+                inputs.append(LatinRectangle(tuple(
+                    tuple(perm[r:] + perm[:r]) for r in range(p)
+                )))
+                inputs.append(random_rectangle(n, p, pyrng))
+            for rect in inputs:
+                assert band_normalize(rect, C).rows == grid_band_normalize(rect).rows
 
 
 def test_band_normalize_in_band_is_identity():
