@@ -22,7 +22,7 @@ import subprocess
 import sys
 
 # (p, n, processes, warm solves per process)
-GRID = [(3, 7, 3, 5), (3, 20, 1, 2), (3, 60, 1, 1), (2, 500, 3, 5)]
+GRID = [(3, 7, 3, 5), (3, 20, 1, 2), (3, 60, 1, 3), (2, 500, 3, 5), (2, 2000, 3, 5)]
 
 CHILD = r"""
 import json, resource, sys, time

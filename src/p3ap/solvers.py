@@ -10,6 +10,7 @@ bottom over a sliding window of 4p - 4 column signatures.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -56,9 +57,26 @@ class SolveReport:
         }
 
 
+# Feasible p x n Latin rectangles, the leaves of the unpruned search, for
+# every (n, p) that brute force may enumerate.  Those past the budget, and
+# any (n, p) not listed, are refused unless forced: (8, 2) alone has 64x
+# the leaves of (7, 2), whose unpruned run takes 21 s.
+_LATIN_RECTANGLES = {
+    (1, 1): 1,
+    (2, 1): 2, (2, 2): 2,
+    (3, 1): 6, (3, 2): 12, (3, 3): 12,
+    (4, 1): 24, (4, 2): 216, (4, 3): 576, (4, 4): 576,
+    (5, 1): 120, (5, 2): 5280, (5, 3): 66240, (5, 4): 161280, (5, 5): 161280,
+    (6, 1): 720, (6, 2): 190800, (6, 3): 15321600,
+    (7, 1): 5040, (7, 2): 9344160, (7, 3): 5411750400,
+    (8, 1): 40320, (8, 2): 598066560, (8, 3): 2834466324480,
+}
+_MAX_BRUTEFORCE_RECTANGLES = 1 << 24
+
+
 def _bruteforce_limits_ok(n: int, p: int) -> bool:
-    # Full enumeration stays tractable for 3 layers up to n=8, or any p up to n=5.
-    return (n <= 8 and p <= 3) or n <= 5
+    count = _LATIN_RECTANGLES.get((n, p))
+    return count is not None and count <= _MAX_BRUTEFORCE_RECTANGLES
 
 
 def solve_bruteforce(
@@ -71,13 +89,18 @@ def solve_bruteforce(
 
     With prune=True an admissible lower bound (suffix sums of per-column
     layer minima) cuts branches; the optimum is unaffected.  With all_optima
-    every optimal rectangle is collected.
+    every optimal rectangle is collected.  Unless force=True, raises
+    OracleSizeLimitError (CLI exit 3) when the instance has more than 2^24
+    feasible Latin rectangles: it admits any p for n <= 5, p <= 3 for n = 6,
+    p <= 2 for n = 7 and p = 1 for n = 8.
     """
     n, p = C.n, C.p
     if not force and not _bruteforce_limits_ok(n, p):
         raise OracleSizeLimitError(
             f"oracle size limit: n={n}, p={p} exceeds the exhaustive-search "
-            "default (n <= 8 with p <= 3, or n <= 5); pass force=True to override"
+            "budget of 2^24 feasible Latin rectangles (any p for n <= 5, "
+            "p <= 3 for n = 6, p <= 2 for n = 7, p = 1 for n = 8); pass "
+            "force=True to override"
         )
     t0 = time.perf_counter()
     layers = [[[int(C.entries[i, j, k]) for j in range(n)] for i in range(n)] for k in range(p)]
@@ -163,11 +186,17 @@ def solve_dp(
     transitions depend only on p, on how far its window is clipped by the
     array's edges and on the incoming states, never on the costs, so each
     row's transition graph is built once per process and cached, and a
-    solve only adds costs along its edges and takes minima.  "reference"
-    is the plain dict-based version, which "auto" also runs for p >= 5.
-    Both retain states in increasing packed-signature order and break cost
-    ties toward the earlier (predecessor order, then placement order)
-    candidate, so they produce identical reports.
+    solve only adds costs along its edges and takes minima.  A graph is
+    built into one int64 key per edge, sorted in place, and a row is swept
+    in blocks of whole target segments of about 2^16 edges, so that neither
+    holds more than one full-length temporary.  "reference" is the
+    plain dict-based version, which "auto" also runs for p >= 5.  Both
+    retain states in increasing packed-signature order and break cost ties
+    toward the earlier (predecessor order, then placement order) candidate,
+    so they produce identical reports.  Both raise OracleSizeLimitError (CLI
+    exit 3) before a row whose incoming states times placements exceeds
+    2^27, such as row 3 of an n = 8, p = 4 instance; every p <= 3 row and
+    p = 4 up to n = 6 stay within it.
     """
     n, p = C.n, C.p
     if not force and not is_layered_monge(C):
@@ -231,6 +260,13 @@ class _RowGraph:
     given source and target the placement is unique, so this is also the
     tie-break order.  Target j owns the edges starts[j] .. starts[j] +
     counts[j] - 1.  next maps the clipping of the following row to its graph.
+
+    The edges are built into one int64 key per edge, packed as (target
+    signature, src, t) when that fits in 63 bits, as it always does for
+    p <= 3, and sorted in place; wider keys hold the signature alone and are
+    ordered by _edge_order.  blocks cuts the targets into runs of whole
+    in-edge segments of about _BLOCK_EDGES edges, each with the views and
+    block-local starts that the sweep reads.
     """
 
     def __init__(self, p: int, clip, in_sigs: np.ndarray):
@@ -250,34 +286,79 @@ class _RowGraph:
         # A placement fits when it hits no filled slot and, if the leaving
         # column (slot 0) is in the array, completes it.
         lead = 0 if lclip else full
-        cand_sig, cand_src, sizes = [], [], []
-        for pl in self.pls:
-            add = 0
-            for k, c in enumerate(pl):
-                add |= 1 << (p * c + k)
-            sel = np.flatnonzero((ext & (add | lead)) == (lead & ~add))
-            cand_sig.append((ext[sel] | add) >> p)
-            cand_src.append(sel)
-            sizes.append(sel.size)
-        sig = np.concatenate(cand_sig)
-        src = np.concatenate(cand_src)
-        del cand_sig, cand_src
-        if not sig.size:
+        adds = [sum(1 << (p * c + k) for k, c in enumerate(pl)) for pl in self.pls]
+
+        def fits(add):
+            return (ext & (add | lead)) == (lead & ~add)
+
+        sizes = [np.count_nonzero(fits(add)) for add in adds]
+        E = sum(sizes)
+        if not E:
             raise RuntimeError("internal error: no feasible band-limited extension")
         T = len(self.pls)
-        t = np.repeat(np.arange(T, dtype=np.min_scalar_type(T - 1)), sizes)
-        order = _edge_order(sig, src, in_sigs.size, p * width)
-        sig = sig[order]
-        self.src = src[order].astype(np.int32)
-        self.t = t[order]
-        first = np.ones(sig.size, dtype=bool)
-        first[1:] = sig[1:] != sig[:-1]
+        t_type = np.min_scalar_type(T - 1)
+        src_bits = (in_sigs.size - 1).bit_length()
+        t_bits = (T - 1).bit_length()
+        packed = p * width + src_bits + t_bits <= 63
+        # key holds each edge's target signature, and below it, when packed,
+        # its src and t: sorting it sorts the edges by (signature, src).
+        key = np.empty(E, dtype=np.int64)
+        if not packed:
+            src = np.empty(E, dtype=np.int32)
+            t = np.empty(E, dtype=t_type)
+        o = 0
+        for ti, (add, size) in enumerate(zip(adds, sizes)):
+            sel = np.flatnonzero(fits(add))
+            part = key[o:o + size]
+            np.take(ext, sel, out=part)
+            part |= add
+            part >>= p
+            if packed:
+                part <<= src_bits + t_bits
+                sel <<= t_bits
+                part |= sel
+                part |= ti
+            else:
+                src[o:o + size] = sel
+                t[o:o + size] = ti
+            o += size
+        if packed:
+            key.sort()
+            src = np.empty(E, dtype=np.int32)
+            t = np.empty(E, dtype=t_type)
+            for a in range(0, E, _BLOCK_EDGES):
+                chunk = key[a:a + _BLOCK_EDGES]
+                t[a:a + _BLOCK_EDGES] = chunk & ((1 << t_bits) - 1)
+                src[a:a + _BLOCK_EDGES] = (chunk >> t_bits) & ((1 << src_bits) - 1)
+            key >>= src_bits + t_bits
+            sig = key
+        else:
+            order = _edge_order(key, src, in_sigs.size, p * width)
+            sig, src, t = key[order], src[order], t[order]
+            del key, order
+        self.src, self.t = src, t
+        first = np.ones(E, dtype=bool)
+        np.not_equal(sig[1:], sig[:-1], out=first[1:])
         self.starts = np.flatnonzero(first)
-        self.counts = np.diff(np.append(self.starts, sig.size))
+        self.counts = np.diff(np.append(self.starts, E))
         self.sigs = sig[self.starts]
-        self.nbytes = sum(
-            a.nbytes for a in (self.flat, self.src, self.t, self.starts, self.counts, self.sigs)
-        )
+
+        S = self.sigs.size
+        self.blocks = [(0, S, 0, src, t, self.starts, self.counts)]
+        held = [self.flat, src, t, self.starts, self.counts, self.sigs]
+        cuts = np.searchsorted(self.starts, np.arange(_BLOCK_EDGES, E, _BLOCK_EDGES))
+        bounds = sorted({0, S, *cuts.tolist()})
+        if len(bounds) > 2:
+            self.blocks = []
+            for s0, s1 in zip(bounds[:-1], bounds[1:]):
+                e0 = int(self.starts[s0])
+                e1 = int(self.starts[s1]) if s1 < S else E
+                local = self.starts[s0:s1] - e0
+                held.append(local)
+                self.blocks.append(
+                    (s0, s1, e0, src[e0:e1], t[e0:e1], local, self.counts[s0:s1])
+                )
+        self.nbytes = sum(a.nbytes for a in held)
         self.next: dict = {}
 
     def placement(self, t: int, base: int) -> tuple:
@@ -291,6 +372,25 @@ def _edge_order(sig, src, src_count: int, sig_bits: int) -> np.ndarray:
     if sig_bits + src_bits <= 63:
         return np.argsort((sig << src_bits) | src)
     return np.lexsort((src, sig))
+
+
+# A row is swept in blocks of whole target segments of about this many
+# edges, so that its per-edge temporaries stay in cache; a graph's sorted
+# keys are decoded in chunks of the same size.
+_BLOCK_EDGES = 1 << 16
+# A row whose incoming states times placements exceeds this is refused
+# before its edges are counted.  The largest p = 3 row has 145,500 x 504 =
+# 73.3 M; at p = 4, n = 8 row 3 would have 277,410 x 1,680 = 466 M.
+_MAX_ROW_CANDIDATES = 1 << 27
+
+
+def _check_row_size(n: int, p: int, i: int, states: int, placements: int) -> None:
+    if states * placements > _MAX_ROW_CANDIDATES:
+        raise OracleSizeLimitError(
+            f"DP size limit: row {i} of n={n}, p={p} has {states} incoming "
+            f"states x {placements} placements = {states * placements} "
+            "candidate transitions, more than 2^27"
+        )
 
 
 # Row graphs keyed by (p, clipping, incoming signatures).  Interior rows of
@@ -330,24 +430,31 @@ def _solve_dp_graph(C: CostArray, all_optima: bool) -> SolveReport:
     graphs, preds, ties = [], [], []
     state_counts = [1]
     for i in range(1, n + 1):
-        g = _next_graph(g, p, _row_clip(i, n, p), sigs)
+        clip = _row_clip(i, n, p)
+        _check_row_size(n, p, i, sigs.size, math.perm(width + 1 - sum(clip), p))
+        g = _next_graph(g, p, clip, sigs)
         base = i - 2 * p + 2
         delta = row_costs[i - 1, (base - 1) * p + g.flat].sum(axis=1)
-        cand = costs[g.src]
-        cand += delta[g.t]
-        costs = np.minimum.reduceat(cand, g.starts)
-        hit = np.flatnonzero(cand == np.repeat(costs, g.counts))
-        # Each target has at least one minimal edge; the first is its
-        # earliest in tie-break order.
-        if all_optima or hit.size != costs.size:
-            owner = np.searchsorted(g.starts, hit, side="right") - 1
-            first = np.ones(hit.size, dtype=bool)
-            first[1:] = owner[1:] != owner[:-1]
+        if len(g.blocks) == 1:
+            costs, hit, tied = _sweep_block(costs, delta, *g.blocks[0][3:], all_optima)
+            pred = hit.astype(np.int32)
+        else:
+            out = np.empty(g.sigs.size, dtype=np.int64)
+            pred = np.empty(g.sigs.size, dtype=np.int32)
+            parts = []
+            for s0, s1, e0, *edges in g.blocks:
+                out[s0:s1], hit, tied = _sweep_block(costs, delta, *edges, all_optima)
+                pred[s0:s1] = hit
+                pred[s0:s1] += e0
+                if all_optima:
+                    parts.append((tied[0] + s0, tied[1] + e0))
+            costs = out
             if all_optima:
-                ties.append((owner, hit))
-            hit = hit[first]
+                tied = tuple(np.concatenate(a) for a in zip(*parts))
+        if all_optima:
+            ties.append(tied)
         graphs.append(g)
-        preds.append(hit.astype(np.int32))
+        preds.append(pred)
         sigs = g.sigs
         state_counts.append(sigs.size)
 
@@ -392,6 +499,28 @@ def _solve_dp_graph(C: CostArray, all_optima: bool) -> SolveReport:
     return report
 
 
+def _sweep_block(costs, delta, src, t, starts, counts, all_optima: bool):
+    """Minimal costs of a run of targets from their in-edges src/t, where
+    target j owns edges starts[j] .. starts[j] + counts[j] - 1; the first
+    minimal in-edge of each target; with all_optima, the (target, edge)
+    pairs of every minimal in-edge.  Edge and target indices are local."""
+    cand = costs[src]
+    cand += delta[t]
+    best = np.minimum.reduceat(cand, starts)
+    hit = np.flatnonzero(cand == np.repeat(best, counts))
+    tied = None
+    # Each target has at least one minimal edge; the first is its earliest
+    # in tie-break order.
+    if all_optima or hit.size != best.size:
+        owner = np.searchsorted(starts, hit, side="right") - 1
+        first = np.ones(hit.size, dtype=bool)
+        first[1:] = owner[1:] != owner[:-1]
+        if all_optima:
+            tied = (owner, hit)
+        hit = hit[first]
+    return best, hit, tied
+
+
 def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
     t0 = time.perf_counter()
     n, p = C.n, C.p
@@ -412,6 +541,7 @@ def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
         cur_states: dict = {}
         ci = cost_rows[i - 1]
         pls = _row_placements(i, n, p)
+        _check_row_size(n, p, i, len(prev_states), len(pls))
         for sig, (base_cost, _) in prev_states.items():
             # Masks over the extended window, indexed by column; the previous
             # window covered columns base .. base+width-1.

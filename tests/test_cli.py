@@ -81,6 +81,19 @@ def test_solve_size_limit(tmp_path, capsys):
     assert main(["solve", "--input", inst.as_posix(), "--solver", "brute"]) == 3
 
 
+def test_solve_refuses_oversized_dp_rows(tmp_path):
+    # Row 3 of this p = 4 instance has 466 M candidate transitions.
+    inst = tmp_path / "p4.txt"
+    assert main(["gen", "random-monge", "--n", "8", "--p", "4",
+                 "--seed", "1", "--output", str(inst)]) == 0
+    for solver in ("auto", "dp"):
+        code, out, err = run_cli(["solve", "--input", str(inst), "--solver", solver])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: DP size limit: row 3 of n=8, p=4 ")
+        assert "Traceback" not in err
+
+
 def test_check_and_blocks(monge_file, tmp_path, capsys):
     sol = tmp_path / "sol.txt"
     assert main(["solve", "--input", str(monge_file), "--output",

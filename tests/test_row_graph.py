@@ -1,0 +1,159 @@
+"""The lean row-graph build and blocked sweep against the build they replaced.
+
+ConcatRowGraph is the former _RowGraph build, kept verbatim as the oracle:
+it concatenates each placement's edges and orders them with an argsort.
+"""
+
+import itertools
+import time
+
+import numpy as np
+import pytest
+
+from p3ap import solve_dp
+from p3ap import solvers
+from p3ap.instances import gen_random_layered_monge
+from p3ap.solvers import OracleSizeLimitError
+
+
+class ConcatRowGraph:
+    def __init__(self, p: int, clip, in_sigs: np.ndarray):
+        lclip, rclip = clip
+        full = (1 << p) - 1
+        width = 4 * p - 4
+        # Placements as column offsets from the extended window's left edge
+        # (which leaves the window after this row), lexicographic as in
+        # _row_placements.
+        self.pls = list(itertools.permutations(range(lclip, width - rclip + 1), p))
+        self.flat = np.array(
+            [[c * p + k for k, c in enumerate(pl)] for pl in self.pls], dtype=np.intp
+        )
+        # Extend each incoming window by its new right column, which counts
+        # as complete when it lies off the array.
+        ext = in_sigs + ((full if rclip else 0) << (p * width))
+        # A placement fits when it hits no filled slot and, if the leaving
+        # column (slot 0) is in the array, completes it.
+        lead = 0 if lclip else full
+        cand_sig, cand_src, sizes = [], [], []
+        for pl in self.pls:
+            add = 0
+            for k, c in enumerate(pl):
+                add |= 1 << (p * c + k)
+            sel = np.flatnonzero((ext & (add | lead)) == (lead & ~add))
+            cand_sig.append((ext[sel] | add) >> p)
+            cand_src.append(sel)
+            sizes.append(sel.size)
+        sig = np.concatenate(cand_sig)
+        src = np.concatenate(cand_src)
+        del cand_sig, cand_src
+        if not sig.size:
+            raise RuntimeError("internal error: no feasible band-limited extension")
+        T = len(self.pls)
+        t = np.repeat(np.arange(T, dtype=np.min_scalar_type(T - 1)), sizes)
+        order = edge_order(sig, src, in_sigs.size, p * width)
+        sig = sig[order]
+        self.src = src[order].astype(np.int32)
+        self.t = t[order]
+        first = np.ones(sig.size, dtype=bool)
+        first[1:] = sig[1:] != sig[:-1]
+        self.starts = np.flatnonzero(first)
+        self.counts = np.diff(np.append(self.starts, sig.size))
+        self.sigs = sig[self.starts]
+
+
+def edge_order(sig, src, src_count: int, sig_bits: int) -> np.ndarray:
+    """Order of edges by (sig, src): one argsort of a packed key when both
+    fit in 63 bits, as they always do for p <= 3, else a two-key lexsort."""
+    src_bits = max(1, (src_count - 1).bit_length())
+    if sig_bits + src_bits <= 63:
+        return np.argsort((sig << src_bits) | src)
+    return np.lexsort((src, sig))
+
+
+GRAPH_ARRAYS = ("flat", "src", "t", "starts", "counts", "sigs")
+
+
+def cached_graphs(monkeypatch, n, p, seed=0):
+    """The graphs that one cold solve of gen_random_layered_monge(n, p) caches."""
+    monkeypatch.setattr(solvers, "_GRAPHS", {})
+    solve_dp(gen_random_layered_monge(n, p, seed=seed))
+    return solvers._GRAPHS
+
+
+@pytest.mark.parametrize("n, p", [(6, 3), (7, 3), (12, 2), (5, 4)])
+def test_row_graphs_match_concatenate_build(monkeypatch, n, p):
+    graphs = cached_graphs(monkeypatch, n, p)
+    assert graphs
+    for (gp, clip, raw), g in graphs.items():
+        want = ConcatRowGraph(gp, clip, np.frombuffer(raw, dtype=np.int64))
+        assert g.pls == want.pls
+        for name in GRAPH_ARRAYS:
+            a, b = getattr(g, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+
+def test_row_graph_blocks_tile_the_targets(monkeypatch):
+    monkeypatch.setattr(solvers, "_BLOCK_EDGES", 1000)
+    for (p, clip, raw), g in cached_graphs(monkeypatch, 7, 3).items():
+        edges = g.src.size
+        if edges <= 1000:
+            assert len(g.blocks) == 1
+            (s0, s1, e0, src, t, starts, counts), = g.blocks
+            # A single block sweeps the graph's own arrays.
+            assert src is g.src and t is g.t
+            assert starts is g.starts and counts is g.counts
+            continue
+        assert len(g.blocks) > 1
+        s_end = e_end = 0
+        for s0, s1, e0, src, t, starts, counts in g.blocks:
+            assert (s0, e0) == (s_end, e_end) and s1 > s0
+            e1 = e0 + src.size
+            assert np.array_equal(starts + e0, g.starts[s0:s1])
+            assert np.array_equal(counts, g.counts[s0:s1])
+            assert np.shares_memory(src, g.src) and np.shares_memory(t, g.t)
+            # Whole segments of about _BLOCK_EDGES edges: a block passes the
+            # size only by its last segment.
+            assert src.size - counts[-1] < 1000
+            s_end, e_end = s1, e1
+        assert (s_end, e_end) == (g.sigs.size, edges)
+
+
+REPORT_FIELDS = ("optimum", "solution", "all_optima", "optima_count",
+                 "unique_in_band", "state_counts", "states_explored")
+
+
+@pytest.mark.parametrize("n, p", [(6, 3), (12, 2), (16, 2), (4, 4), (5, 4)])
+def test_blocked_sweep_matches_reference(monkeypatch, n, p):
+    # The block size is also the chunk size of the build's key decoding.
+    C = gen_random_layered_monge(n, p, seed=n + p)
+    want = solve_dp(C, all_optima_in_band=True, method="reference")
+    for block in (1, 3):
+        monkeypatch.setattr(solvers, "_BLOCK_EDGES", block)
+        monkeypatch.setattr(solvers, "_GRAPHS", {})
+        got = solve_dp(C, all_optima_in_band=True)
+        assert max(len(g.blocks) for g in solvers._GRAPHS.values()) > 1
+        for field in REPORT_FIELDS:
+            assert getattr(got, field) == getattr(want, field), (block, field)
+
+
+def test_dp_refuses_oversized_rows_early():
+    # Row 3 of this instance has 277,410 incoming states and 1,680
+    # placements: 466 M candidate transitions.
+    C = gen_random_layered_monge(8, 4, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(OracleSizeLimitError, match=r"row 3 of n=8, p=4 .* 2\^27"):
+        solve_dp(C)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_row_size_limit_is_shared_by_both_engines(monkeypatch):
+    # Every row of n = 5, p = 3 has P(5, 3) = 60 placements; rows 1 to 3
+    # have 1, 60 and 690 incoming states.
+    C = gen_random_layered_monge(5, 3, seed=0)
+    monkeypatch.setattr(solvers, "_MAX_ROW_CANDIDATES", 60 * 60)
+    for method in ("auto", "reference"):
+        with pytest.raises(OracleSizeLimitError, match="row 3 of n=5, p=3 has 690 incoming"):
+            solve_dp(C, method=method)
+    monkeypatch.setattr(solvers, "_MAX_ROW_CANDIDATES", 1 << 27)
+    assert solve_dp(C).optimum == solve_dp(C, method="reference").optimum

@@ -63,6 +63,25 @@ def test_bruteforce_size_limit():
     assert solve_bruteforce(big, force=True).optimum == 0
 
 
+def test_bruteforce_rectangle_budget():
+    # (8, 2) has 598,066,560 feasible rectangles, 64x as many as (7, 2).
+    for n, p in ((8, 2), (7, 3), (8, 3)):
+        zeros = CostArray(np.zeros((n, n, p), dtype=np.int64))
+        with pytest.raises(OracleSizeLimitError, match=f"oracle size limit: n={n}, p={p}"):
+            solve_bruteforce(zeros)
+    admitted = [key for key, count in solvers._LATIN_RECTANGLES.items()
+                if count <= solvers._MAX_BRUTEFORCE_RECTANGLES]
+    assert (6, 3) in admitted and (7, 2) in admitted and (8, 1) in admitted
+    assert len(admitted) == len(solvers._LATIN_RECTANGLES) - 3
+
+
+def test_bruteforce_rectangle_table_counts():
+    for (n, p), count in solvers._LATIN_RECTANGLES.items():
+        if n <= 4:
+            zeros = CostArray(np.zeros((n, n, p), dtype=np.int64))
+            assert len(solve_bruteforce(zeros, all_optima=True).all_optima) == count
+
+
 def test_bruteforce_prune_equivalent():
     for seed in range(8):
         C = gen_random_layered_monge(5, 2, seed=seed)
