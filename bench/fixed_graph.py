@@ -1,14 +1,24 @@
-"""Cold and warm solve_dp timings of one or more p3ap checkouts on a fixed grid.
+"""Cold and warm timings of one or more p3ap checkouts on a fixed grid.
 
     python bench/fixed_graph.py --side parent=../parent/src --side change=src \
         --out BENCH_fixed_graph.json
+    python bench/fixed_graph.py --side parent=../parent/src --side change=src \
+        --kind ties --kind normalize --out BENCH_all_optima.json
 
 Each grid point runs in fresh interpreter processes, one per repeat.  A
-process solves one instance with an empty cache ("cold"), then further
-instances of the same (n, p) ("warm"), and reports CPU seconds per solve and
-its own peak RSS.  Instances come from gen_random_layered_monge with seeds
-that do not depend on the side, and every side must return the same optima.
-Sides alternate which runs first at each grid point.
+process makes one call with an empty cache ("cold"), then further calls on
+instances of the same kind and (n, p) ("warm"), and reports CPU seconds per
+call and its own peak RSS.  The kinds of call are:
+
+- dp: solve_dp on gen_random_layered_monge;
+- ties: solve_dp with all_optima_in_band on the zero array, where every
+  in-band rectangle is optimal, with a seeded decomposable shift at p = 2;
+- normalize: band_normalize of a cyclically shifted random permutation on
+  gen_random_layered_monge, as in perfbench's normalize-p2.
+
+Seeds do not depend on the side, and every side must return the same
+answers: optima, digests of the listed optima in order, or of the normalized
+rows.  Sides alternate which runs first at each grid point.
 """
 
 from __future__ import annotations
@@ -21,32 +31,71 @@ import statistics
 import subprocess
 import sys
 
-# (p, n, processes, warm solves per process)
-GRID = [(3, 7, 3, 5), (3, 20, 1, 2), (3, 60, 1, 3), (2, 500, 3, 5), (2, 2000, 3, 5)]
+# (kind, p, n, processes, warm calls per process)
+GRID = [
+    ("dp", 3, 7, 3, 5), ("dp", 3, 20, 1, 2), ("dp", 3, 60, 1, 3),
+    ("dp", 2, 500, 3, 5), ("dp", 2, 2000, 3, 5),
+    ("ties", 2, 8, 3, 5), ("ties", 4, 5, 3, 2),
+    ("normalize", 2, 70, 3, 5), ("normalize", 2, 80, 3, 5),
+]
 
 CHILD = r"""
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-from p3ap import solve_dp
+import numpy as np
+from p3ap import CostArray, LatinRectangle, band_normalize, solve_dp
 from p3ap.instances import gen_random_layered_monge
-n, p, warm, seed = map(int, sys.argv[2:6])
-times, optima = [], []
-for k in range(1 + warm):
-    C = gen_random_layered_monge(n, p, seed=seed + k)
+from p3ap.monge import DecompositionTerms, apply_decomposable_shift
+kind = sys.argv[2]
+n, p, warm, seed = map(int, sys.argv[3:7])
+
+def digest(rects):
+    return hashlib.sha256(repr([r.rows for r in rects]).encode()).hexdigest()[:16]
+
+def tied(seed):
+    zeros = CostArray(np.zeros((n, n, p), dtype=np.int64))
+    if p != 2:
+        return zeros
+    rng = np.random.default_rng(seed)
+    terms = DecompositionTerms(
+        A=np.zeros((n, n), dtype=np.int64),
+        B=rng.integers(-50, 51, size=(n, p)),
+        D=rng.integers(-50, 51, size=(n, p)),
+    )
+    return apply_decomposable_shift(zeros, terms)[0]
+
+def call(seed):
+    if kind == "ties":
+        C = tied(seed)
+        t0 = time.process_time()
+        r = solve_dp(C, all_optima_in_band=True)
+        return time.process_time() - t0, [r.optimum, r.optima_count, digest(r.all_optima)]
+    C = gen_random_layered_monge(n, p, seed=seed)
+    if kind == "normalize":
+        perm = np.random.default_rng(seed).permutation(n) + 1
+        rect = LatinRectangle(rows=[np.roll(perm, -r) for r in range(p)])
+        t0 = time.process_time()
+        out = band_normalize(rect, C)
+        return time.process_time() - t0, digest([out])
     t0 = time.process_time()
     r = solve_dp(C)
-    times.append(time.process_time() - t0)
-    optima.append(r.optimum)
+    return time.process_time() - t0, r.optimum
+
+times, answers = [], []
+for k in range(1 + warm):
+    t, answer = call(seed + k)
+    times.append(t)
+    answers.append(answer)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"times": times, "optima": optima, "peak_rss_mb": rss}))
+print(json.dumps({"times": times, "answers": answers, "peak_rss_mb": rss}))
 """
 
 
-def run_point(src, n, p, procs, warm):
-    cold, warm_times, rss, optima = [], [], [], []
+def run_point(src, kind, n, p, procs, warm):
+    cold, warm_times, rss, answers = [], [], [], []
     for r in range(procs):
         out = subprocess.run(
-            [sys.executable, "-c", CHILD, src, str(n), str(p), str(warm), str(1000 * r)],
+            [sys.executable, "-c", CHILD, src, kind, str(n), str(p), str(warm), str(1000 * r)],
             check=True, capture_output=True, text=True,
             env={**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"},
         )
@@ -54,13 +103,13 @@ def run_point(src, n, p, procs, warm):
         cold.append(doc["times"][0])
         warm_times.extend(doc["times"][1:])
         rss.append(doc["peak_rss_mb"])
-        optima.extend(doc["optima"])
+        answers.extend(doc["answers"])
     return {
         "cold_s": round(statistics.median(cold), 4),
         "warm_s": round(statistics.median(warm_times), 4),
-        "solves": {"cold": len(cold), "warm": len(warm_times)},
+        "calls": {"cold": len(cold), "warm": len(warm_times)},
         "peak_rss_mb": round(max(rss), 1),
-        "optima": optima,
+        "answers": answers,
     }
 
 
@@ -68,24 +117,29 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", action="append", required=True,
                         help="label=path to the src directory of a checkout")
+    parser.add_argument("--kind", action="append", choices=sorted({g[0] for g in GRID}),
+                        help="run only the grid points of this kind (repeatable)")
     parser.add_argument("--out", help="JSON output file (default: stdout)")
     args = parser.parse_args()
     sides = [s.split("=", 1) for s in args.side]
+    grid = [g for g in GRID if not args.kind or g[0] in args.kind]
     results = []
-    for idx, (p, n, procs, warm) in enumerate(GRID):
+    for idx, (kind, p, n, procs, warm) in enumerate(grid):
         order = sides if idx % 2 == 0 else sides[::-1]
-        point = {"p": p, "n": n}
+        point = {"kind": kind, "p": p, "n": n}
         for label, src in order:
-            point[label] = run_point(os.path.abspath(src), n, p, procs, warm)
-            print(f"p={p} n={n} {label}: {point[label]['cold_s']} s cold, "
+            point[label] = run_point(os.path.abspath(src), kind, n, p, procs, warm)
+            print(f"{kind} p={p} n={n} {label}: {point[label]['cold_s']} s cold, "
                   f"{point[label]['warm_s']} s warm", file=sys.stderr)
-        optima = {json.dumps(point[label].pop("optima")) for label, _ in sides}
-        if len(optima) != 1:
-            sys.exit(f"sides disagree on the optima at p={p}, n={n}")
+        answers = {json.dumps(point[label].pop("answers")) for label, _ in sides}
+        if len(answers) != 1:
+            sys.exit(f"sides disagree on the answers of {kind} at p={p}, n={n}")
         results.append(point)
     doc = {
-        "what": "solve_dp CPU seconds per solve: cold (first solve in a fresh "
-                "process) and warm (later solves of the same n and p)",
+        "what": "CPU seconds per call of solve_dp (dp), solve_dp with "
+                "all_optima_in_band (ties) or band_normalize (normalize): cold "
+                "(first call in a fresh process) and warm (later calls of the "
+                "same kind, n and p)",
         "machine": {
             "python": platform.python_version(),
             "cpus": os.cpu_count(),

@@ -85,7 +85,7 @@ class LatinRectangle:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         ok, why = latin_rows_violation(rows)
         if not ok:
@@ -142,10 +142,14 @@ def latin_rows_violation(rows) -> tuple:
     if not rows:
         return False, "no rows"
     n = len(rows[0])
-    if any(len(r) != n for r in rows):
+    if set(map(len, rows)) != {n}:
         return False, "rows of unequal length"
     if len(rows) > n:
         return False, f"more rows ({len(rows)}) than columns ({n})"
+    # A valid rectangle passes in set operations; the loops name a violation.
+    full = set(range(1, n + 1))
+    if all(map(full.__eq__, map(set, rows))) and min(map(len, map(set, zip(*rows)))) == len(rows):
+        return True, ""
     for k, row in enumerate(rows, start=1):
         if sorted(row) != list(range(1, n + 1)):
             return False, f"row {k} is not a permutation of 1..{n}"

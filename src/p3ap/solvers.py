@@ -193,10 +193,12 @@ def solve_dp(
     plain dict-based version, which "auto" also runs for p >= 5.  Both
     retain states in increasing packed-signature order and break cost ties
     toward the earlier (predecessor order, then placement order) candidate,
-    so they produce identical reports.  Both raise OracleSizeLimitError (CLI
-    exit 3) before a row whose incoming states times placements exceeds
-    2^27, such as row 3 of an n = 8, p = 4 instance; every p <= 3 row and
-    p = 4 up to n = 6 stay within it.
+    so they produce identical reports: all_optima_in_band lists the same
+    optima in the same order, depth first in "reference" and in bulk in the
+    graph engine.  Both raise OracleSizeLimitError (CLI exit 3) before a row
+    whose incoming states times placements exceeds 2^27, such as row 3 of
+    an n = 8, p = 4 instance; every p <= 3 row and p = 4 up to n = 6 stay
+    within it, and OptimaLimitError before listing over 2^24 cells.
     """
     n, p = C.n, C.p
     if not force and not is_layered_monge(C):
@@ -361,9 +363,6 @@ class _RowGraph:
         self.nbytes = sum(a.nbytes for a in held)
         self.next: dict = {}
 
-    def placement(self, t: int, base: int) -> tuple:
-        return tuple(base + c for c in self.pls[t])
-
 
 def _edge_order(sig, src, src_count: int, sig_bits: int) -> np.ndarray:
     """Order of edges by (sig, src): one argsort of a packed key when both
@@ -452,7 +451,8 @@ def _solve_dp_graph(C: CostArray, all_optima: bool) -> SolveReport:
             if all_optima:
                 tied = tuple(np.concatenate(a) for a in zip(*parts))
         if all_optima:
-            ties.append(tied)
+            owner, hit = tied
+            ties.append((np.searchsorted(owner, np.arange(g.sigs.size + 1)), g.src[hit], g.t[hit]))
         graphs.append(g)
         preds.append(pred)
         sigs = g.sigs
@@ -472,7 +472,7 @@ def _solve_dp_graph(C: CostArray, all_optima: bool) -> SolveReport:
     for i in range(n, 0, -1):
         g = graphs[i - 1]
         e = preds[i - 1][state]
-        placements[i - 1] = g.placement(int(g.t[e]), i - 2 * p + 2)
+        placements[i - 1] = [i - 2 * p + 2 + c for c in g.pls[g.t[e]]]
         state = int(g.src[e])
     solution = _rect_from_placements(placements, n, p)
 
@@ -485,18 +485,47 @@ def _solve_dp_graph(C: CostArray, all_optima: bool) -> SolveReport:
         state_counts=state_counts,
     )
     if all_optima:
-        tied_by_row = []
-        for i, (g, (owner, hit)) in enumerate(zip(graphs, ties), start=1):
-            base = i - 2 * p + 2
-            by_state: dict = {}
-            for s, src, t in zip(owner.tolist(), g.src[hit].tolist(), g.t[hit].tolist()):
-                by_state.setdefault(s, []).append((src, g.placement(t, base)))
-            tied_by_row.append(by_state)
-        seqs = _enumerate_optima(n, p, final_state, lambda i, s: tied_by_row[i - 1][s])
-        report.all_optima = [_rect_from_placements(s, n, p) for s in seqs]
-        report.optima_count = len(seqs)
-        report.unique_in_band = len(seqs) == 1
+        report.all_optima = _list_optima(graphs, ties, final_state, n, p)
+        report.optima_count = len(report.all_optima)
+        report.unique_in_band = report.optima_count == 1
     return report
+
+
+_LIST_CHUNK = 4096  # optima listed per chunk, which bounds the temporaries
+
+
+def _list_optima(graphs, ties, final_state: int, n: int, p: int) -> list:
+    """Every optimal rectangle in the order of _walk_optima, in bulk.
+
+    Row i's minimal in-edges into state s are ties[i - 1] = (first, src, t)
+    from first[s] to first[s + 1], in tie order.  Paths grow breadth first
+    from the final state, children in tie order, which keeps the depth-first
+    order; then a walk back through the parents scatters the placements."""
+
+    def prevs(i, s):
+        first, src, _ = ties[i - 1]
+        return src[first[s]:first[s + 1]].tolist()
+
+    total = _count_optima(n, p, final_state, prevs)
+    levels, state = [], np.array([final_state])
+    for first, src, t in reversed(ties):
+        lo = first[state]
+        k = first[state + 1] - lo
+        parent = np.repeat(np.arange(state.size), k)
+        e = np.arange(parent.size) + np.repeat(lo - (np.cumsum(k) - k), k)
+        state = src[e]
+        levels.append((parent, t[e]))
+    optima, layer = [], np.arange(p)
+    for a in range(0, total, _LIST_CHUNK):
+        at = np.arange(a, min(a + _LIST_CHUNK, total))
+        path = np.arange(at.size)[:, None]
+        rows = np.zeros((at.size, p, n), dtype=np.min_scalar_type(n))
+        for i, (g, (parent, t)) in enumerate(zip(graphs, reversed(levels)), start=1):
+            # flat = column offset * p + layer; the window starts at column i - 2p + 2.
+            rows[path, layer, g.flat[t[at]] // p + (i - 2 * p + 1)] = i
+            at = parent[at]
+        optima.extend(LatinRectangle(rows=r) for r in rows.tolist())
+    return optima
 
 
 def _sweep_block(costs, delta, src, t, starts, counts, all_optima: bool):
@@ -599,8 +628,11 @@ def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
         )
     (final_sig, (optimum, _)), = final.items()
 
-    placements = _trace_first(steps, final_sig, n)
-    solution = _rect_from_placements(placements, n, p)
+    def tied(i, sig):
+        return steps[i][sig][1]
+
+    # The first sequence depth first follows the first predecessors.
+    solution = _rect_from_placements(next(_walk_optima(n, final_sig, tied)), n, p)
     report = SolveReport(
         optimum=optimum,
         solution=solution,
@@ -610,48 +642,22 @@ def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
         state_counts=state_counts,
     )
     if all_optima:
-        seqs = _enumerate_optima(n, p, final_sig, lambda i, sig: steps[i][sig][1])
+        _count_optima(n, p, final_sig, lambda i, sig: [prev for prev, _ in tied(i, sig)])
+        seqs = list(_walk_optima(n, final_sig, tied))
         report.all_optima = [_rect_from_placements(s, n, p) for s in seqs]
         report.optima_count = len(seqs)
         report.unique_in_band = len(seqs) == 1
     return report
 
 
-def _trace_first(steps, final_sig, n):
-    """Row placements of the retained optimum, walking first predecessors."""
-    placements = [None] * (n + 1)
-    sig = final_sig
-    for i in range(n, 0, -1):
-        prev_sig, placement = steps[i][sig][1][0]
-        placements[i] = placement
-        sig = prev_sig
-    return placements[1:]
-
-
-def _enumerate_optima(n, p, final_state, tied):
+def _walk_optima(n, final_state, tied):
     """Every optimal placement sequence, by an explicit-stack depth-first walk.
 
     tied(i, state) lists the (predecessor, placement) pairs of row i that
     reach state at its optimal cost, in tie-break order.  Sequences come out
     in depth-first order from the final state; an explicit stack keeps the
-    depth independent of the recursion limit.  Raises OptimaLimitError
-    before listing more than _MAX_LISTED_CELLS cells.
+    depth independent of the recursion limit.
     """
-    # Count the paths through the tied predecessors first, row by row.
-    paths = {final_state: 1}
-    for i in range(n, 0, -1):
-        below: dict = {}
-        for state, count in paths.items():
-            for prev, _ in tied(i, state):
-                below[prev] = below.get(prev, 0) + count
-        paths = below
-    (total,) = paths.values()
-    if total * n * p > _MAX_LISTED_CELLS:
-        raise OptimaLimitError(
-            f"{total} optimal rectangles in the band: too many to list "
-            f"(limit {_MAX_LISTED_CELLS} cells, n={n}, p={p})"
-        )
-    results = []
     acc = [None] * n
     stack = [iter(tied(n, final_state))]
     while stack:
@@ -663,10 +669,28 @@ def _enumerate_optima(n, p, final_state, tied):
         prev, placement = step
         acc[i - 1] = placement
         if i == 1:
-            results.append(list(acc))
+            yield list(acc)
         else:
             stack.append(iter(tied(i - 1, prev)))
-    return results
+
+
+def _count_optima(n, p, final_state, prevs) -> int:
+    """Exact count of optimal paths through prevs(i, state), the tied
+    predecessors of state in row i; OptimaLimitError past the listing cap."""
+    paths = {final_state: 1}
+    for i in range(n, 0, -1):
+        below: dict = {}
+        for state, count in paths.items():
+            for prev in prevs(i, state):
+                below[prev] = below.get(prev, 0) + count
+        paths = below
+    (total,) = paths.values()
+    if total * n * p > _MAX_LISTED_CELLS:
+        raise OptimaLimitError(
+            f"{total} optimal rectangles in the band: too many to list "
+            f"(limit {_MAX_LISTED_CELLS} cells, n={n}, p={p})"
+        )
+    return total
 
 
 def _rect_from_placements(placements, n, p) -> LatinRectangle:

@@ -97,7 +97,7 @@ def band_normalize(sol: LatinRectangle, C: CostArray) -> LatinRectangle:
         if not outside:
             break
         _, i, j, k = min(outside)
-        row = out.rows[k - 1]
+        row = list(out.rows[k - 1])
         columns = [set(c) for c in zip(*out.rows)]
         partner = None
         for q in range(i + 1, n + 1) if j > i else range(1, i):
@@ -111,7 +111,9 @@ def band_normalize(sol: LatinRectangle, C: CostArray) -> LatinRectangle:
                 f"internal error: no exchange partner for pivot ({i},{j}) at "
                 f"offset {abs(i - j)} > {band}; contradicts the bandwidth theorem"
             )
-        out = swap(out, min(i, partner), max(i, partner), k).rectangle
+        # As swap(out, min(i, partner), max(i, partner), k), but validated once.
+        row[j - 1], row[r - 1] = partner, i
+        out = LatinRectangle(rows=out.rows[:k - 1] + (tuple(row),) + out.rows[k:])
     else:
         raise RuntimeError("internal error: band normalization did not terminate")
 

@@ -18,8 +18,10 @@ from p3ap import (
 from p3ap.core import (
     CostRangeError,
     DimensionError,
+    FeasibilityReport,
     InfeasibleSolutionError,
     cyclic_latin_square,
+    latin_rows_violation,
 )
 
 # The worked 4x4, p=3 example used throughout: rectangle rows and the
@@ -231,3 +233,95 @@ def test_full_p_equals_n_solution_is_latin_square():
         assert sorted(row) == [1, 2, 3, 4]
     for j in range(4):
         assert sorted(r[j] for r in sq.cells) == [1, 2, 3, 4]
+
+
+def loop_latin_rows_violation(rows) -> tuple:
+    """The per-row and per-column loop that latin_rows_violation ran on every
+    input before its set-based accept, kept as the oracle for its messages."""
+    if not rows:
+        return False, "no rows"
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        return False, "rows of unequal length"
+    if len(rows) > n:
+        return False, f"more rows ({len(rows)}) than columns ({n})"
+    for k, row in enumerate(rows, start=1):
+        if sorted(row) != list(range(1, n + 1)):
+            return False, f"row {k} is not a permutation of 1..{n}"
+    for j in range(n):
+        seen = {}
+        for k, row in enumerate(rows, start=1):
+            v = row[j]
+            if v in seen:
+                return False, (
+                    f"column {j + 1} repeats value {v} in rows {seen[v]} and {k}"
+                )
+            seen[v] = k
+    return True, ""
+
+
+def random_latin_rows(n, p, rng):
+    """p rows of a random isotope of the cyclic Latin square of order n."""
+    symbols, shifts, cols = (rng.sample(range(n), n) for _ in range(3))
+    return tuple(
+        tuple(symbols[(shifts[k] + cols[j]) % n] + 1 for j in range(n)) for k in range(p)
+    )
+
+
+def mutated_rows(rows, rng):
+    """A copy of rows with one random defect of the kinds the checker names."""
+    rows = [list(r) for r in rows]
+    n, p = len(rows[0]), len(rows)
+    k, j = rng.randrange(p), rng.randrange(n)
+    kind = rng.randrange(7)
+    if kind == 0:  # a value repeated within a row
+        rows[k][j] = rows[k][(j + 1) % n]
+    elif kind == 1:  # a value out of range
+        rows[k][j] = rng.choice((0, -1, n + 1, 2 * n))
+    elif kind == 2:  # one row is a different permutation: columns may repeat
+        rng.shuffle(rows[k])
+    elif kind == 3:  # every row the same: all columns repeat, the first is named
+        rows = [list(rows[0]) for _ in range(max(p, 2))]
+    elif kind == 4:  # unequal row lengths
+        rows[k] = rows[k][:-1] if rng.random() < 0.5 else rows[k] + [n + 1]
+    elif kind == 5:  # more rows than columns
+        rows = rows + [list(rows[0])] * (n + 1 - p)
+    else:  # empty rows
+        rows = [[] for _ in range(rng.randint(0, p))]
+    return tuple(map(tuple, rows))
+
+
+def test_latin_rows_violation_matches_loop_oracle():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        rows = random_latin_rows(n, rng.randint(1, n), rng)
+        assert latin_rows_violation(rows) == loop_latin_rows_violation(rows) == (True, "")
+        bad = mutated_rows(rows, rng)
+        expected = loop_latin_rows_violation(bad)
+        assert latin_rows_violation(bad) == expected
+        assert check_rows(bad) == FeasibilityReport(*expected)
+        if not expected[0]:
+            seen.add(expected[1].split()[0])
+            with pytest.raises(InfeasibleSolutionError) as err:
+                LatinRectangle(bad)
+            assert str(err.value) == expected[1]
+    # Each kind of message occurs: no, rows, more, row, column.
+    assert seen == {"no", "rows", "more", "row", "column"}
+
+
+def test_latin_rows_violation_names_the_first_bad_column():
+    rows = ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 2, 1))
+    bad = (rows[0], rows[1], (3, 2, 1, 4))  # columns 2 and 3 both repeat
+    message = "column 2 repeats value 2 in rows 1 and 3"
+    assert latin_rows_violation(bad) == loop_latin_rows_violation(bad) == (False, message)
+    assert latin_rows_violation(rows) == (True, "")
+
+
+def test_rectangle_entries_become_ints():
+    rect = LatinRectangle(np.array(EXAMPLE_RECT, dtype=np.uint8))
+    assert rect.rows == EXAMPLE_RECT
+    assert all(type(v) is int for row in rect.rows for v in row)
+    mixed = LatinRectangle([[np.int64(1), 2], (np.int32(2), np.uint16(1))])
+    assert all(type(v) is int for row in mixed.rows for v in row)

@@ -16,6 +16,7 @@ from p3ap import (
 )
 from p3ap import solvers
 from p3ap.instances import gen_random_layered_monge, random_01_array
+from p3ap.monge import DecompositionTerms, apply_decomposable_shift
 from p3ap.solvers import (
     NotLayeredMongeError,
     OptimaLimitError,
@@ -206,6 +207,43 @@ def test_dp_all_optima_are_optimal_and_unique_flag():
         for rect in r.all_optima:
             assert cost(C, rect) == r.optimum
         assert r.solution in r.all_optima
+
+
+def tied_instance(n, p, seed):
+    """The zero array, or with a seed a decomposable shift of it, on which
+    every in-band rectangle is optimal."""
+    zeros = CostArray(np.zeros((n, n, p), dtype=np.int64))
+    if seed is None:
+        return zeros
+    rng = np.random.default_rng(seed)
+    terms = DecompositionTerms(
+        A=np.zeros((n, n), dtype=np.int64),
+        B=rng.integers(-50, 51, size=(n, p)),
+        D=rng.integers(-50, 51, size=(n, p)),
+    )
+    return apply_decomposable_shift(zeros, terms)[0]
+
+
+@pytest.mark.parametrize(
+    "n, p, seed, count",
+    [
+        (8, 2, None, 21252),
+        (5, 4, None, 161280),
+        (4, 4, None, 576),
+        (8, 2, 11, 21252),
+        (5, 3, 12, 66240),
+    ],
+)
+def test_bulk_listing_keeps_the_reference_order_on_ties(n, p, seed, count):
+    # The graph engine lists breadth-first and the reference depth-first;
+    # with every rectangle tied, any change of child order shows.
+    C = tied_instance(n, p, seed)
+    a = solve_dp(C, all_optima_in_band=True)
+    b = solve_dp(C, all_optima_in_band=True, method="reference")
+    assert a.optima_count == b.optima_count == count
+    assert a.all_optima == b.all_optima
+    assert a.unique_in_band is b.unique_in_band is False
+    assert a.solution == b.solution == a.all_optima[0]
 
 
 def test_dp_single_final_state_and_counts():
