@@ -1,9 +1,7 @@
 """Cold and warm timings of one or more p3ap checkouts on a fixed grid.
 
     python bench/fixed_graph.py --side parent=../parent/src --side change=src \
-        --out BENCH_fixed_graph.json
-    python bench/fixed_graph.py --side parent=../parent/src --side change=src \
-        --kind ties --kind normalize --out BENCH_all_optima.json
+        --out BENCH_all_optima.json
 
 Each grid point runs in fresh interpreter processes, one per repeat.  A
 process makes one call with an empty cache ("cold"), then further calls on
@@ -107,7 +105,7 @@ def run_point(src, kind, n, p, procs, warm):
     return {
         "cold_s": round(statistics.median(cold), 4),
         "warm_s": round(statistics.median(warm_times), 4),
-        "calls": {"cold": len(cold), "warm": len(warm_times)},
+        "solves": {"cold": len(cold), "warm": len(warm_times)},
         "peak_rss_mb": round(max(rss), 1),
         "answers": answers,
     }
@@ -117,14 +115,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--side", action="append", required=True,
                         help="label=path to the src directory of a checkout")
-    parser.add_argument("--kind", action="append", choices=sorted({g[0] for g in GRID}),
-                        help="run only the grid points of this kind (repeatable)")
     parser.add_argument("--out", help="JSON output file (default: stdout)")
     args = parser.parse_args()
     sides = [s.split("=", 1) for s in args.side]
-    grid = [g for g in GRID if not args.kind or g[0] in args.kind]
     results = []
-    for idx, (kind, p, n, procs, warm) in enumerate(grid):
+    for idx, (kind, p, n, procs, warm) in enumerate(GRID):
         order = sides if idx % 2 == 0 else sides[::-1]
         point = {"kind": kind, "p": p, "n": n}
         for label, src in order:

@@ -146,10 +146,12 @@ def latin_rows_violation(rows) -> tuple:
         return False, "rows of unequal length"
     if len(rows) > n:
         return False, f"more rows ({len(rows)}) than columns ({n})"
-    # A valid rectangle passes in set operations; the loops name a violation.
-    full = set(range(1, n + 1))
-    if all(map(full.__eq__, map(set, rows))) and min(map(len, map(set, zip(*rows)))) == len(rows):
-        return True, ""
+    try:  # a valid rectangle passes in set operations; the loops name a violation
+        if (all(map(set(range(1, n + 1)).__eq__, map(set, rows)))
+                and min(map(len, map(set, zip(*rows)))) == len(rows)):
+            return True, ""
+    except TypeError:  # unhashable entries, which the loops judge as before
+        pass
     for k, row in enumerate(rows, start=1):
         if sorted(row) != list(range(1, n + 1)):
             return False, f"row {k} is not a permutation of 1..{n}"

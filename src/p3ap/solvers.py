@@ -467,11 +467,9 @@ def _solve_dp_graph(C: CostArray, all_optima: bool) -> SolveReport:
     final_state = int(final[0])
     optimum = int(costs[final_state])
 
-    placements = [None] * n
-    state = final_state
-    for i in range(n, 0, -1):
-        g = graphs[i - 1]
-        e = preds[i - 1][state]
+    placements, state = [None] * n, final_state
+    for i, g, pred in zip(range(n, 0, -1), graphs[::-1], preds[::-1]):
+        e = pred[state]
         placements[i - 1] = [i - 2 * p + 2 + c for c in g.pls[g.t[e]]]
         state = int(g.src[e])
     solution = _rect_from_placements(placements, n, p)

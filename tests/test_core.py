@@ -307,8 +307,16 @@ def test_latin_rows_violation_matches_loop_oracle():
             with pytest.raises(InfeasibleSolutionError) as err:
                 LatinRectangle(bad)
             assert str(err.value) == expected[1]
+        # check_rows passes entries through unconverted: unhashable lists and
+        # floats equal to the ints get the loops' report too.
+        for odd in (tuple(tuple([v] for v in r) for r in rows), tuple(map(list, bad)),
+                    tuple(tuple(map(float, r)) for r in bad)):
+            expected = loop_latin_rows_violation(odd)
+            assert latin_rows_violation(odd) == expected
+            assert check_rows(odd) == FeasibilityReport(*expected)
     # Each kind of message occurs: no, rows, more, row, column.
     assert seen == {"no", "rows", "more", "row", "column"}
+    assert check_rows([[[1], [2]]]) == FeasibilityReport(False, "row 1 is not a permutation of 1..2")
 
 
 def test_latin_rows_violation_names_the_first_bad_column():
