@@ -78,44 +78,36 @@ def _load_rectangle(path, C: CostArray = None) -> LatinRectangle:
 def cmd_gen(args) -> int:
     seed = args.seed
     name = args.generator
-    if name == "random-monge":
-        if args.n is None or args.p is None:
-            raise CliError("random-monge needs --n and --p")
-        C = instances.gen_random_layered_monge(args.n, args.p, seed)
-        provenance = f"gen random-monge --n {args.n} --p {args.p} --seed {seed}"
-    elif name == "embed-p3ap":
-        C01 = _load_instance(args.input)
-        try:
+    # DimensionError is a ValueError, and a negative seed raises one in numpy.
+    try:
+        if name == "random-monge":
+            if args.n is None or args.p is None:
+                raise CliError("random-monge needs --n and --p")
+            C = instances.gen_random_layered_monge(args.n, args.p, seed)
+            provenance = f"gen random-monge --n {args.n} --p {args.p} --seed {seed}"
+        elif name == "embed-p3ap":
+            C01 = _load_instance(args.input)
             C, offset = instances.gen_p3ap_embedding(C01, nonneg=args.nonneg_variant)
-        except (ValueError, DimensionError) as e:
-            raise CliError(str(e))
-        provenance = f"gen embed-p3ap --input {args.input} (offset {offset})"
-    elif name == "embed-pp3ap":
-        C01 = _load_instance(args.input)
-        try:
+            provenance = f"gen embed-p3ap --input {args.input} (offset {offset})"
+        elif name == "embed-pp3ap":
+            C01 = _load_instance(args.input)
             C, p = instances.gen_pp3ap_embedding(C01)
-        except (ValueError, DimensionError) as e:
-            raise CliError(str(e))
-        provenance = f"gen embed-pp3ap --input {args.input} (solve with p {p})"
-    elif name == "counterexample":
-        try:
+            provenance = f"gen embed-pp3ap --input {args.input} (solve with p {p})"
+        elif name == "counterexample":
             C = instances.gen_counterexample(instances.CounterexampleParams(a=args.a_scale))
-        except (ValueError, OverflowError) as e:
-            raise CliError(str(e))
-        provenance = f"gen counterexample --a-scale {args.a_scale}"
-    elif name == "counterexample-ext":
-        try:
+            provenance = f"gen counterexample --a-scale {args.a_scale}"
+        elif name == "counterexample-ext":
             C = instances.gen_counterexample_extended(
                 args.extra_blocks, instances.CounterexampleParams(a=args.a_scale)
             )
-        except (ValueError, OverflowError) as e:
-            raise CliError(str(e))
-        provenance = (
-            f"gen counterexample-ext --extra-blocks {args.extra_blocks} "
-            f"--a-scale {args.a_scale}"
-        )
-    else:
-        raise CliError(f"unknown generator {name!r}")
+            provenance = (
+                f"gen counterexample-ext --extra-blocks {args.extra_blocks} "
+                f"--a-scale {args.a_scale}"
+            )
+        else:
+            raise CliError(f"unknown generator {name!r}")
+    except (ValueError, OverflowError) as e:
+        raise CliError(str(e))
     if args.format == "json":
         _write(io.instance_to_json(C) + "\n", args.output)
     else:

@@ -181,11 +181,15 @@ def solve_dp(
     (4p-4)-tuple of column content subsets over columns i-2p+3 .. i+2p-2
     (out-of-range slots count as virtually complete), keeping minimal cost.
 
-    Two interchangeable engines.  "auto" runs the fixed-graph engine while
-    a signature fits in one machine integer (p <= 4).  A row's states and
-    transitions depend only on p, on how far its window is clipped by the
-    array's edges and on the incoming states, never on the costs, so each
-    row's transition graph is built once per process and cached, and a
+    This function is the one driver: it times the solve, builds the witness
+    and the report, and lists the optima.  Two interchangeable engines
+    differ only in how they expand the rows.  Each returns the optimum, the
+    witness's placement per row, the per-row state counts and a function
+    that lists every optimal rectangle.  "auto" runs the fixed-graph engine
+    while a signature fits in one machine integer (p <= 4).  A row's states
+    and transitions depend only on p, on how far its window is clipped by
+    the array's edges and on the incoming states, never on the costs, so
+    each row's transition graph is built once per process and cached, and a
     solve only adds costs along its edges and takes minima.  A graph is
     built into one int64 key per edge, sorted in place, and a row is swept
     in blocks of whole target segments of about 2^16 edges, so that neither
@@ -206,13 +210,27 @@ def solve_dp(
             "instance is not layered Monge; solve_dp is only exact on layered "
             "Monge arrays (pass force=True to run anyway)"
         )
-    if method == "auto":
-        if p * (4 * p - 4) <= 62:
-            return _solve_dp_graph(C, all_optima_in_band)
-        method = "reference"
-    if method == "reference":
-        return _solve_dp_reference(C, all_optima_in_band)
-    raise ValueError(f"unknown DP method {method!r}")
+    if method == "auto" and p * (4 * p - 4) <= 62:
+        engine = _solve_dp_graph
+    elif method in ("auto", "reference"):
+        engine = _solve_dp_reference
+    else:
+        raise ValueError(f"unknown DP method {method!r}")
+    t0 = time.perf_counter()
+    optimum, placements, state_counts, list_optima = engine(C, all_optima_in_band)
+    report = SolveReport(
+        optimum=optimum,
+        solution=_rect_from_placements(placements, n, p),
+        solver="dp",
+        states_explored=sum(state_counts),
+        wall_ms=(time.perf_counter() - t0) * 1e3,
+        state_counts=state_counts,
+    )
+    if all_optima_in_band:
+        report.all_optima = list_optima()
+        report.optima_count = len(report.all_optima)
+        report.unique_in_band = report.optima_count == 1
+    return report
 
 
 def _row_placements(i: int, n: int, p: int):
@@ -266,9 +284,9 @@ class _RowGraph:
     The edges are built into one int64 key per edge, packed as (target
     signature, src, t) when that fits in 63 bits, as it always does for
     p <= 3, and sorted in place; wider keys hold the signature alone and are
-    ordered by _edge_order.  blocks cuts the targets into runs of whole
-    in-edge segments of about _BLOCK_EDGES edges, each with the views and
-    block-local starts that the sweep reads.
+    ordered by a lexsort on (signature, src).  blocks cuts the targets into
+    runs of whole in-edge segments of about _BLOCK_EDGES edges, each with the
+    views and block-local starts that the sweep reads.
     """
 
     def __init__(self, p: int, clip, in_sigs: np.ndarray):
@@ -335,7 +353,7 @@ class _RowGraph:
             key >>= src_bits + t_bits
             sig = key
         else:
-            order = _edge_order(key, src, in_sigs.size, p * width)
+            order = np.lexsort((src, key))
             sig, src, t = key[order], src[order], t[order]
             del key, order
         self.src, self.t = src, t
@@ -364,15 +382,6 @@ class _RowGraph:
         self.next: dict = {}
 
 
-def _edge_order(sig, src, src_count: int, sig_bits: int) -> np.ndarray:
-    """Order of edges by (sig, src): one argsort of a packed key when both
-    fit in 63 bits, as they always do for p <= 3, else a two-key lexsort."""
-    src_bits = max(1, (src_count - 1).bit_length())
-    if sig_bits + src_bits <= 63:
-        return np.argsort((sig << src_bits) | src)
-    return np.lexsort((src, sig))
-
-
 # A row is swept in blocks of whole target segments of about this many
 # edges, so that its per-edge temporaries stay in cache; a graph's sorted
 # keys are decoded in chunks of the same size.
@@ -383,7 +392,10 @@ _BLOCK_EDGES = 1 << 16
 _MAX_ROW_CANDIDATES = 1 << 27
 
 
-def _check_row_size(n: int, p: int, i: int, states: int, placements: int) -> None:
+def _check_row_size(n: int, p: int, i: int, states: int, clip) -> None:
+    # Placements of row i: injective maps of the p layers into the columns
+    # of its window that clip leaves on the array.
+    placements = math.perm(4 * p - 3 - sum(clip), p)
     if states * placements > _MAX_ROW_CANDIDATES:
         raise OracleSizeLimitError(
             f"DP size limit: row {i} of n={n}, p={p} has {states} incoming "
@@ -416,8 +428,7 @@ def _next_graph(prev: Optional[_RowGraph], p: int, clip, in_sigs: np.ndarray) ->
     return g
 
 
-def _solve_dp_graph(C: CostArray, all_optima: bool) -> SolveReport:
-    t0 = time.perf_counter()
+def _solve_dp_graph(C: CostArray, all_optima: bool):
     n, p = C.n, C.p
     width = 4 * p - 4
     # Row i of the array, flattened: entry (j, k) sits at (j - 1) * p + k.
@@ -430,35 +441,28 @@ def _solve_dp_graph(C: CostArray, all_optima: bool) -> SolveReport:
     state_counts = [1]
     for i in range(1, n + 1):
         clip = _row_clip(i, n, p)
-        _check_row_size(n, p, i, sigs.size, math.perm(width + 1 - sum(clip), p))
+        _check_row_size(n, p, i, sigs.size, clip)
         g = _next_graph(g, p, clip, sigs)
         base = i - 2 * p + 2
         delta = row_costs[i - 1, (base - 1) * p + g.flat].sum(axis=1)
-        if len(g.blocks) == 1:
-            costs, hit, tied = _sweep_block(costs, delta, *g.blocks[0][3:], all_optima)
-            pred = hit.astype(np.int32)
-        else:
-            out = np.empty(g.sigs.size, dtype=np.int64)
-            pred = np.empty(g.sigs.size, dtype=np.int32)
-            parts = []
-            for s0, s1, e0, *edges in g.blocks:
-                out[s0:s1], hit, tied = _sweep_block(costs, delta, *edges, all_optima)
-                pred[s0:s1] = hit
-                pred[s0:s1] += e0
-                if all_optima:
-                    parts.append((tied[0] + s0, tied[1] + e0))
-            costs = out
+        out = np.empty(g.sigs.size, dtype=np.int64)
+        pred = np.empty(g.sigs.size, dtype=np.int32)
+        parts = []
+        for s0, s1, e0, *edges in g.blocks:
+            out[s0:s1], hit, tied = _sweep_block(costs, delta, *edges, all_optima)
+            pred[s0:s1] = hit + e0
             if all_optima:
-                tied = tuple(np.concatenate(a) for a in zip(*parts))
+                parts.append((tied[0] + s0, tied[1] + e0))
+        costs = out
         if all_optima:
-            owner, hit = tied
+            owner, hit = (np.concatenate(a) for a in zip(*parts))
             ties.append((np.searchsorted(owner, np.arange(g.sigs.size + 1)), g.src[hit], g.t[hit]))
         graphs.append(g)
         preds.append(pred)
         sigs = g.sigs
         state_counts.append(sigs.size)
 
-    target = (1 << (p * width)) - 1 if width else 0
+    target = (1 << (p * width)) - 1
     final = np.flatnonzero(sigs == target)
     if final.size != 1:
         raise RuntimeError(
@@ -472,21 +476,9 @@ def _solve_dp_graph(C: CostArray, all_optima: bool) -> SolveReport:
         e = pred[state]
         placements[i - 1] = [i - 2 * p + 2 + c for c in g.pls[g.t[e]]]
         state = int(g.src[e])
-    solution = _rect_from_placements(placements, n, p)
-
-    report = SolveReport(
-        optimum=optimum,
-        solution=solution,
-        solver="dp",
-        states_explored=sum(state_counts),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        state_counts=state_counts,
+    return optimum, placements, state_counts, lambda: _list_optima(
+        graphs, ties, final_state, n, p
     )
-    if all_optima:
-        report.all_optima = _list_optima(graphs, ties, final_state, n, p)
-        report.optima_count = len(report.all_optima)
-        report.unique_in_band = report.optima_count == 1
-    return report
 
 
 _LIST_CHUNK = 4096  # optima listed per chunk, which bounds the temporaries
@@ -548,8 +540,7 @@ def _sweep_block(costs, delta, src, t, starts, counts, all_optima: bool):
     return best, hit, tied
 
 
-def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
-    t0 = time.perf_counter()
+def _solve_dp_reference(C: CostArray, all_optima: bool):
     n, p = C.n, C.p
     full = (1 << p) - 1
     width = 4 * p - 4
@@ -558,7 +549,6 @@ def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
     # steps[i]: signature -> [cost, preds]; preds = [(prev_sig, placement), ...]
     prev_states = {_init_sig(n, p): [0, []]}
     steps = [prev_states]
-    states_explored = 1
     state_counts = [1]
 
     for i in range(1, n + 1):
@@ -567,8 +557,8 @@ def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
         leave = base
         cur_states: dict = {}
         ci = cost_rows[i - 1]
+        _check_row_size(n, p, i, len(prev_states), _row_clip(i, n, p))
         pls = _row_placements(i, n, p)
-        _check_row_size(n, p, i, len(prev_states), len(pls))
         for sig, (base_cost, _) in prev_states.items():
             # Masks over the extended window, indexed by column; the previous
             # window covered columns base .. base+width-1.
@@ -606,46 +596,25 @@ def _solve_dp_reference(C: CostArray, all_optima: bool) -> SolveReport:
             sorted(cur_states.items(), key=lambda kv: _pack_sig(kv[0], p))
         )
         steps.append(cur_states)
-        states_explored += len(cur_states)
         state_counts.append(len(cur_states))
         prev_states = cur_states
 
-    # After step n every remaining in-range window column must be complete.
-    final = {
-        sig: v
-        for sig, v in prev_states.items()
-        if all(
-            m == full
-            for c, m in zip(range(n - 2 * p + 3, n - 2 * p + 3 + width), sig)
-            if 1 <= c <= n
-        )
-    }
-    if len(final) != 1:
-        raise RuntimeError(
-            f"internal error: expected exactly one final state, got {len(final)}"
-        )
-    (final_sig, (optimum, _)), = final.items()
+    # After step n every in-range window column is complete, and the
+    # out-of-range ones count as complete: one signature is left.
+    final_sig = (full,) * width
+    if final_sig not in prev_states:
+        raise RuntimeError("internal error: expected exactly one final state, got 0")
 
     def tied(i, sig):
         return steps[i][sig][1]
 
-    # The first sequence depth first follows the first predecessors.
-    solution = _rect_from_placements(next(_walk_optima(n, final_sig, tied)), n, p)
-    report = SolveReport(
-        optimum=optimum,
-        solution=solution,
-        solver="dp",
-        states_explored=states_explored,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        state_counts=state_counts,
-    )
-    if all_optima:
+    def list_optima():
         _count_optima(n, p, final_sig, lambda i, sig: [prev for prev, _ in tied(i, sig)])
-        seqs = list(_walk_optima(n, final_sig, tied))
-        report.all_optima = [_rect_from_placements(s, n, p) for s in seqs]
-        report.optima_count = len(seqs)
-        report.unique_in_band = len(seqs) == 1
-    return report
+        return [_rect_from_placements(s, n, p) for s in _walk_optima(n, final_sig, tied)]
+
+    # The first sequence depth first follows the first predecessors.
+    witness = next(_walk_optima(n, final_sig, tied))
+    return prev_states[final_sig][0], witness, state_counts, list_optima
 
 
 def _walk_optima(n, final_state, tied):

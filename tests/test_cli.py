@@ -53,6 +53,14 @@ def test_gen_requires_dimensions(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_rejects_bad_arguments_cleanly(capsys):
+    assert main(["gen", "random-monge", "--n", "5", "--p", "2", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert main(["gen", "random-monge", "--n", "3", "--p", "4"]) == 2
+    assert capsys.readouterr().err == "error: need 1 <= p <= n, got n=3, p=4\n"
+
+
 def test_solve_text_and_json(monge_file, capsys):
     assert main(["solve", "--input", str(monge_file), "--solver", "dp"]) == 0
     text = capsys.readouterr().out

@@ -163,16 +163,6 @@ def test_dp_graph_cache_size_constant_in_n():
     assert len(solvers._GRAPHS) == counts[1]
 
 
-def test_edge_order_packed_key_and_lexsort_agree():
-    # p = 4 rows with more than 2^15 incoming states take the lexsort path.
-    rng = np.random.default_rng(0)
-    sig = rng.integers(0, 1 << 12, size=5000)
-    src = rng.permutation(5000)
-    packed = solvers._edge_order(sig, src, 5000, 12)
-    assert np.array_equal(packed, solvers._edge_order(sig, src, 5000, 60))
-    assert np.array_equal(packed, np.lexsort((src, sig)))
-
-
 def test_dp_method_choices():
     C = gen_random_layered_monge(4, 2, seed=0)
     assert solve_dp(C, method="reference").optimum == solve_dp(C).optimum
@@ -211,17 +201,17 @@ def test_dp_all_optima_are_optimal_and_unique_flag():
 
 def tied_instance(n, p, seed):
     """The zero array, or with a seed a decomposable shift of it, on which
-    every in-band rectangle is optimal."""
+    every in-band rectangle is optimal; and the cost of every rectangle."""
     zeros = CostArray(np.zeros((n, n, p), dtype=np.int64))
     if seed is None:
-        return zeros
+        return zeros, 0
     rng = np.random.default_rng(seed)
     terms = DecompositionTerms(
         A=np.zeros((n, n), dtype=np.int64),
         B=rng.integers(-50, 51, size=(n, p)),
         D=rng.integers(-50, 51, size=(n, p)),
     )
-    return apply_decomposable_shift(zeros, terms)[0]
+    return apply_decomposable_shift(zeros, terms)
 
 
 @pytest.mark.parametrize(
@@ -237,13 +227,45 @@ def tied_instance(n, p, seed):
 def test_bulk_listing_keeps_the_reference_order_on_ties(n, p, seed, count):
     # The graph engine lists breadth-first and the reference depth-first;
     # with every rectangle tied, any change of child order shows.
-    C = tied_instance(n, p, seed)
+    C, _ = tied_instance(n, p, seed)
     a = solve_dp(C, all_optima_in_band=True)
     b = solve_dp(C, all_optima_in_band=True, method="reference")
     assert a.optima_count == b.optima_count == count
     assert a.all_optima == b.all_optima
     assert a.unique_in_band is b.unique_in_band is False
     assert a.solution == b.solution == a.all_optima[0]
+
+
+def test_dp_p5_runs_the_reference_engine_and_matches_bruteforce():
+    # p >= 5 signatures do not fit in one machine integer, so "auto" runs
+    # the reference engine.
+    C = gen_random_layered_monge(5, 5, 0)
+    r = solve_dp(C)
+    assert r.optimum == solve_bruteforce(C).optimum
+    assert cost(C, r.solution) == r.optimum
+    assert r.solver == "dp"
+    assert r.states_explored == sum(r.state_counts)
+
+
+def test_dp_p5_all_optima_on_a_shifted_zero_array():
+    # Every 5 x 5 Latin square is in the band and costs the shift constant.
+    C, constant = tied_instance(5, 5, 13)
+    r = solve_dp(C, all_optima_in_band=True)
+    assert r.optimum == constant
+    assert r.optima_count == len(r.all_optima) == 161280
+    assert r.solution == r.all_optima[0]
+    assert all(cost(C, rect) == constant for rect in r.all_optima[::997])
+
+
+def test_reference_engine_checks_row_size_before_listing_placements(monkeypatch):
+    # Row 1 of n = 19, p = 10 has P(19, 10) = 335,221,286,400 placements.
+    def refuse(i, n, p):
+        raise AssertionError(f"placements of row {i} listed")
+
+    monkeypatch.setattr(solvers, "_row_placements", refuse)
+    C = CostArray(np.zeros((19, 19, 10), dtype=np.int64))
+    with pytest.raises(OracleSizeLimitError, match="row 1 of n=19, p=10"):
+        solve_dp(C)
 
 
 def test_dp_single_final_state_and_counts():
