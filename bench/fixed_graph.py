@@ -12,11 +12,14 @@ call and its own peak RSS.  The kinds of call are:
 - ties: solve_dp with all_optima_in_band on the zero array, where every
   in-band rectangle is optimal, with a seeded decomposable shift at p = 2;
 - normalize: band_normalize of a cyclically shifted random permutation on
-  gen_random_layered_monge, as in perfbench's normalize-p2.
+  gen_random_layered_monge, as in perfbench's normalize-p2;
+- brute: solve_bruteforce on gen_random_layered_monge.
 
 Seeds do not depend on the side, and every side must return the same
 answers: optima, digests of the listed optima in order, or of the normalized
-rows.  Sides alternate which runs first at each grid point.
+rows, and for brute also the witness and states_explored.  Sides alternate
+which runs first at each grid point.  A point with no warm calls reports
+warm_s as null.
 """
 
 from __future__ import annotations
@@ -35,13 +38,14 @@ GRID = [
     ("dp", 2, 500, 3, 5), ("dp", 2, 2000, 3, 5),
     ("ties", 2, 8, 3, 5), ("ties", 4, 5, 3, 2),
     ("normalize", 2, 70, 3, 5), ("normalize", 2, 80, 3, 5),
+    ("brute", 2, 6, 3, 2), ("brute", 3, 6, 1, 1), ("brute", 2, 7, 1, 0),
 ]
 
 CHILD = r"""
 import hashlib, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from p3ap import CostArray, LatinRectangle, band_normalize, solve_dp
+from p3ap import CostArray, LatinRectangle, band_normalize, solve_bruteforce, solve_dp
 from p3ap.instances import gen_random_layered_monge
 from p3ap.monge import DecompositionTerms, apply_decomposable_shift
 kind = sys.argv[2]
@@ -75,6 +79,10 @@ def call(seed):
         t0 = time.process_time()
         out = band_normalize(rect, C)
         return time.process_time() - t0, digest([out])
+    if kind == "brute":
+        t0 = time.process_time()
+        r = solve_bruteforce(C)
+        return time.process_time() - t0, [r.optimum, r.solution.rows, r.states_explored]
     t0 = time.process_time()
     r = solve_dp(C)
     return time.process_time() - t0, r.optimum
@@ -104,7 +112,7 @@ def run_point(src, kind, n, p, procs, warm):
         answers.extend(doc["answers"])
     return {
         "cold_s": round(statistics.median(cold), 4),
-        "warm_s": round(statistics.median(warm_times), 4),
+        "warm_s": round(statistics.median(warm_times), 4) if warm_times else None,
         "solves": {"cold": len(cold), "warm": len(warm_times)},
         "peak_rss_mb": round(max(rss), 1),
         "answers": answers,
@@ -132,7 +140,8 @@ def main():
         results.append(point)
     doc = {
         "what": "CPU seconds per call of solve_dp (dp), solve_dp with "
-                "all_optima_in_band (ties) or band_normalize (normalize): cold "
+                "all_optima_in_band (ties), band_normalize (normalize) or "
+                "solve_bruteforce (brute): cold "
                 "(first call in a fresh process) and warm (later calls of the "
                 "same kind, n and p)",
         "machine": {

@@ -43,8 +43,11 @@ class CliError(Exception):
 
 def _write(text: str, path=None):
     if path:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise CliError(f"cannot write {path}: {e}")
     else:
         sys.stdout.write(text)
 
@@ -54,7 +57,7 @@ def _load_instance(path) -> CostArray:
         raise CliError("an --input instance file is required")
     try:
         return io.load_instance(path)
-    except (OSError, io.FormatError, DimensionError, CostRangeError) as e:
+    except (OSError, UnicodeDecodeError, io.FormatError, DimensionError, CostRangeError) as e:
         raise CliError(f"cannot read instance {path}: {e}")
 
 
@@ -65,7 +68,7 @@ def _load_rectangle(path, C: CostArray = None) -> LatinRectangle:
         raise CliError("a --solution file is required")
     try:
         rows = io.load_solution_rows(path)
-    except (OSError, io.FormatError) as e:
+    except (OSError, UnicodeDecodeError, io.FormatError) as e:
         raise CliError(f"cannot read solution {path}: {e}")
     sol = LatinRectangle(rows=rows)
     if C is not None and (sol.n != C.n or sol.p != C.p):

@@ -28,15 +28,15 @@ def _tokens(text: str):
         yield stripped
 
 
-def _parse_tensor(lines, n: int, p: int) -> np.ndarray:
+def _parse_tensor(rows: list, n: int, p: int) -> np.ndarray:
+    if len(rows) < n * p:
+        # Before allocating what the header announces: "200000 1" is 320 GB.
+        k, i = divmod(len(rows), n)
+        raise FormatError(f"truncated file: missing row {i + 1} of layer {k + 1}")
     entries = np.empty((n, n, p), dtype=np.int64)
     for k in range(p):
         for i in range(n):
-            try:
-                row = next(lines)
-            except StopIteration:
-                raise FormatError(f"truncated file: missing row {i + 1} of layer {k + 1}")
-            values = row.split()
+            values = rows[k * n + i].split()
             if len(values) != n:
                 raise FormatError(
                     f"layer {k + 1}, row {i + 1}: expected {n} values, got {len(values)}"
@@ -73,7 +73,7 @@ def parse_instance(text: str):
     is_density = bool(rest) and rest[0] == "density"
     if is_density:
         rest = rest[1:]
-    entries = _parse_tensor(iter(rest), n, p)
+    entries = _parse_tensor(rest, n, p)
     if len(rest) > n * p:
         raise FormatError(f"header '{n} {p}' announces {n * p} rows, got {len(rest)}")
     if is_density:

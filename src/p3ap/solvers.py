@@ -1,4 +1,4 @@
-"""Exact solvers: backtracking over Latin rectangles and the banded DP.
+"""Exact solvers: a table-driven search over Latin rectangles and the banded DP.
 
 The brute-force solver enumerates every feasible p x n Latin rectangle and is
 the universal oracle for small instances.  The dynamic program exploits the
@@ -57,10 +57,10 @@ class SolveReport:
         }
 
 
-# Feasible p x n Latin rectangles, the leaves of the unpruned search, for
-# every (n, p) that brute force may enumerate.  Those past the budget, and
-# any (n, p) not listed, are refused unless forced: (8, 2) alone has 64x
-# the leaves of (7, 2), whose unpruned run takes 21 s.
+# Feasible p x n Latin rectangles, the leaves of the search, for every
+# (n, p) that brute force may enumerate.  Those past the budget, and any
+# (n, p) not listed, are refused unless forced: (8, 2) alone has 64x the
+# leaves of (7, 2).
 _LATIN_RECTANGLES = {
     (1, 1): 1,
     (2, 1): 2, (2, 2): 2,
@@ -72,100 +72,94 @@ _LATIN_RECTANGLES = {
     (8, 1): 40320, (8, 2): 598066560, (8, 3): 2834466324480,
 }
 _MAX_BRUTEFORCE_RECTANGLES = 1 << 24
-
-
-def _bruteforce_limits_ok(n: int, p: int) -> bool:
-    count = _LATIN_RECTANGLES.get((n, p))
-    return count is not None and count <= _MAX_BRUTEFORCE_RECTANGLES
+# Table bytes that even a forced search may build: (8, 2) would need 1.6 GB.
+_MAX_TABLE_BYTES = 1 << 26
+# Prefix rectangles times permutations held at once by one block of the walk.
+_WALK_ENTRIES = 1 << 20
 
 
 def solve_bruteforce(
-    C: CostArray,
-    all_optima: bool = False,
-    prune: bool = False,
-    force: bool = False,
+    C: CostArray, all_optima: bool = False, force: bool = False
 ) -> SolveReport:
-    """Exact optimum by row-by-row backtracking over all Latin rectangles.
+    """Exact optimum over every feasible Latin rectangle, for any cost array.
 
-    With prune=True an admissible lower bound (suffix sums of per-column
-    layer minima) cuts branches; the optimum is unaffected.  With all_optima
-    every optimal rectangle is collected.  Unless force=True, raises
-    OracleSizeLimitError (CLI exit 3) when the instance has more than 2^24
-    feasible Latin rectangles: it admits any p for n <= 5, p <= 3 for n = 6,
-    p <= 2 for n = 7 and p = 1 for n = 8.
+    The rows of a rectangle are permutations: the table of all n! of them,
+    in lexicographic order, is priced in every layer, and for p >= 2 a
+    first-conflict table holds the first column where two of them agree, or
+    n.  The walk takes the first rows in blocks; a prefix rectangle keeps the
+    minimum of its rows' first-conflict rows and admits the next rows where
+    it is n.  So it visits rectangles in the order of a row-by-row depth-first
+    search, whose first optimum is the witness, whose order all_optima keeps
+    and whose node count, dead-end partial rows included, is states_explored.
+
+    Unless force=True, raises OracleSizeLimitError (CLI exit 3) past 2^24
+    feasible Latin rectangles: it admits any p for n <= 5, p <= 3 for
+    n = 6, p <= 2 for n = 7 and p = 1 for n = 8.  Even when forced it
+    refuses tables of more than 2^26 bytes, such as (8, 2); with all_optima
+    it raises OptimaLimitError past 2^24 listed cells.
     """
     n, p = C.n, C.p
-    if not force and not _bruteforce_limits_ok(n, p):
+    if not force and _LATIN_RECTANGLES.get((n, p), math.inf) > _MAX_BRUTEFORCE_RECTANGLES:
         raise OracleSizeLimitError(
             f"oracle size limit: n={n}, p={p} exceeds the exhaustive-search "
             "budget of 2^24 feasible Latin rectangles (any p for n <= 5, "
             "p <= 3 for n = 6, p <= 2 for n = 7, p = 1 for n = 8); pass "
             "force=True to override"
         )
+    N = math.factorial(n)
+    table_bytes = N * n + (N * N if p > 1 else 0)
+    if table_bytes > _MAX_TABLE_BYTES:
+        raise OracleSizeLimitError(
+            f"oracle size limit: n={n}, p={p} needs {table_bytes} bytes of "
+            "permutation and first-conflict tables, more than 2^26"
+        )
     t0 = time.perf_counter()
-    layers = [[[int(C.entries[i, j, k]) for j in range(n)] for i in range(n)] for k in range(p)]
-
-    # colmin[k][j]: cheapest row choice for layer k, column j (0-based).
-    colmin = [[min(layers[k][i][j] for i in range(n)) for j in range(n)] for k in range(p)]
-    # row_suffix[k][j]: bound for columns j.. of layer k; layer_suffix[k]: layers k.. .
-    row_suffix = []
-    for k in range(p):
-        suf = [0] * (n + 1)
-        for j in range(n - 1, -1, -1):
-            suf[j] = suf[j + 1] + colmin[k][j]
-        row_suffix.append(suf)
-    layer_suffix = [0] * (p + 1)
-    for k in range(p - 1, -1, -1):
-        layer_suffix[k] = layer_suffix[k + 1] + row_suffix[k][0]
-
-    best = [None]
-    best_rows: List[tuple] = []
-    col_used = [[False] * (n + 1) for _ in range(n)]  # col_used[j][i]
-    row_vals = [[0] * n for _ in range(p)]
-    nodes = [0]
-
-    def place(k: int, j: int, partial: int, row_used: int):
-        nodes[0] += 1
-        if j == n:
-            if k + 1 == p:
-                total = partial
-                if best[0] is None or total < best[0]:
-                    best[0] = total
-                    del best_rows[:]
-                    best_rows.append(tuple(tuple(r) for r in row_vals))
-                elif all_optima and total == best[0]:
-                    best_rows.append(tuple(tuple(r) for r in row_vals))
-                return
-            place(k + 1, 0, partial, 0)
-            return
-        if prune and best[0] is not None:
-            bound = partial + row_suffix[k][j] + layer_suffix[k + 1]
-            if bound > best[0] or (not all_optima and bound == best[0]):
-                return
-        row = layers[k]
-        used_j = col_used[j]
-        for i in range(1, n + 1):
-            if used_j[i] or (row_used >> i) & 1:
-                continue
-            used_j[i] = True
-            row_vals[k][j] = i
-            place(k, j + 1, partial + row[i - 1][j], row_used | (1 << i))
-            used_j[i] = False
-        row_vals[k][j] = 0
-
-    place(0, 0, 0, 0)
-    rect = LatinRectangle(rows=best_rows[0])
-    report = SolveReport(
-        optimum=best[0],
-        solution=rect,
-        solver="brute",
-        states_explored=nodes[0],
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    # price[k, a]: the cost of permutation a as the row of layer k.
+    price = sum(C.entries[perms[:, j], j].T for j in range(n))
+    if p > 1:
+        first = np.full((N, N), n, dtype=np.int8)
+        for j, v in itertools.product(reversed(range(n)), range(n)):
+            same = np.flatnonzero(perms[:, j] == v)
+            first[np.ix_(same, same)] = j
+    # A permutation that first conflicts with a prefix at column f meets
+    # reach[f] / n! nodes, its first j <= f columns shared by (n - j)!
+    # permutations.  Relabeling the values maps the rectangles below one first
+    # row onto those below any other, so each adds the first block's mean.
+    reach = np.cumsum([math.perm(n, j) for j in range(n + 1)])
+    step = min(N, max(1, _WALK_ENTRIES // _LATIN_RECTANGLES.get((n, p - 1), N ** (p - 1))))
+    below, best, count, ties = 0, None, 0, []
+    for a in range(0, N, step):
+        rows = [np.arange(a, min(a + step, N))]
+        cost = price[0, rows[0]]
+        for k in range(1, p):
+            fc = first[rows[-1]] if k == 1 else np.minimum(fc[pre], first[rows[-1]])
+            if a == 0:
+                below += int(np.bincount(fc.ravel(), minlength=n + 1) @ reach)
+            pre, nxt = np.divmod(np.flatnonzero(fc == n), N)
+            cost = cost[pre] + price[k, nxt]
+            rows = [r[pre] for r in rows] + [nxt]
+        low = cost.min()
+        if best is None or low < best:
+            best, count, ties = low, 0, []
+        if low == best:
+            hit = np.flatnonzero(cost == low)
+            count += hit.size
+            if not ties or all_optima and count * n * p <= _MAX_LISTED_CELLS:
+                ties.append(np.stack([r[hit if all_optima else hit[:1]] for r in rows], axis=1))
+    if all_optima and count * n * p > _MAX_LISTED_CELLS:
+        raise OptimaLimitError(
+            f"{count} optimal rectangles: too many to list "
+            f"(limit {_MAX_LISTED_CELLS} cells, n={n}, p={p})"
+        )
+    rects = [LatinRectangle(rows=r) for r in (perms[np.concatenate(ties)] + 1).tolist()]
+    return SolveReport(
+        optimum=int(best), solution=rects[0], solver="brute",
+        states_explored=int(reach[n]) + below // step,
         wall_ms=(time.perf_counter() - t0) * 1e3,
+        all_optima=rects if all_optima else None,
+        optima_count=count if all_optima else None,
     )
-    if all_optima:
-        report.all_optima = [LatinRectangle(rows=r) for r in best_rows]
-        report.optima_count = len(best_rows)
-    return report
 
 
 def solve_dp(
@@ -681,6 +675,8 @@ def solve_auto(C: CostArray, all_optima_in_band: bool = False) -> SolveReport:
         pass
     try:
         report = solve_bruteforce(C, all_optima=all_optima_in_band)
+    except OptimaLimitError:
+        raise
     except OracleSizeLimitError:
         raise OracleSizeLimitError(
             "no applicable exact solver: instance is not layered Monge and "

@@ -42,14 +42,14 @@ from test_core import random_rectangle
 
 
 def _suite_sizes():
-    """(n, p, count, prune) mix: >= 200 instances, brute-feasible in budget."""
+    """(n, p, count) mix: >= 200 instances, brute-feasible in budget."""
     sizes = []
     for n in range(2, 6):
         for p in range(1, min(3, n) + 1):
-            sizes.append((n, p, 16, False))
-    sizes.append((6, 1, 16, False))
-    sizes.append((6, 2, 12, False))
-    sizes.append((6, 3, 2, True))
+            sizes.append((n, p, 16))
+    sizes.append((6, 1, 16))
+    sizes.append((6, 2, 12))
+    sizes.append((6, 3, 2))
     return sizes
 
 
@@ -58,11 +58,11 @@ def oracle_suite():
     """Solve the shared random suite with both solvers once."""
     results = []
     seed = 0
-    for n, p, count, prune in _suite_sizes():
+    for n, p, count in _suite_sizes():
         for _ in range(count):
             C = gen_random_layered_monge(n, p, seed)
             seed += 1
-            results.append((C, solve_dp(C), solve_bruteforce(C, prune=prune)))
+            results.append((C, solve_dp(C), solve_bruteforce(C)))
     return results
 
 

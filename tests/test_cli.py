@@ -186,11 +186,18 @@ def test_module_entry_point(tmp_path):
         # Lines beyond the header's n * p rows: a second layer, a third row.
         ("two-layers.txt", "2 1\n0 1\n1 0\n\n0 1\n1 0\n"),
         ("extra-row.txt", "2 1\n0 1\n1 0\n1 1\n"),
+        # Not UTF-8 text.
+        ("utf16.txt", b"\xff\xfe2\x001\x00"),
+        # A header announcing 200000 rows of 200000 entries, 320 GB of int64.
+        ("huge-header.txt", "200000 1\n0\n"),
     ],
 )
 def test_unreadable_instance_exit_code(tmp_path, capsys, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     assert main(["solve", "--input", str(path)]) == 2
     assert "cannot read instance" in capsys.readouterr().err
 
@@ -201,3 +208,22 @@ def test_solve_all_optima_limit_exit_code(tmp_path, capsys):
                  "--output", str(path)]) == 0
     assert main(["solve", "--input", str(path), "--solver", "dp", "--all-optima"]) == 3
     assert "too many to list" in capsys.readouterr().err
+
+
+def test_unreadable_solution_and_unwritable_output(monge_file, tmp_path, capsys):
+    bad = tmp_path / "sol.txt"
+    bad.write_bytes(b"\xff\xfe1 2\n")
+    assert main(["check", "--input", str(monge_file), "--solution", str(bad)]) == 2
+    assert "cannot read solution" in capsys.readouterr().err
+    missing = tmp_path / "no-such-dir" / "out.txt"
+    for args in (["gen", "random-monge", "--n", "3", "--p", "1"],
+                 ["solve", "--input", str(monge_file)]):
+        assert main([*args, "--output", str(missing)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
+
+
+def test_brute_all_optima_limit_exit_code(tmp_path, capsys):
+    path = tmp_path / "zeros.txt"
+    path.write_text("6 3\n" + "0 0 0 0 0 0\n" * 18)
+    assert main(["solve", "--input", str(path), "--solver", "brute", "--all-optima"]) == 3
+    assert "15321600 optimal rectangles: too many to list" in capsys.readouterr().err

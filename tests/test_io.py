@@ -99,6 +99,8 @@ def test_malformed_inputs_raise():
         parse_instance("2 1\n0 0\n0\n")  # ragged row
     with pytest.raises(FormatError):
         parse_instance("2 1\n0 0\n")  # not enough rows
+    with pytest.raises(FormatError, match="missing row 2 of layer 1"):
+        parse_instance("200000 1\n0\n")  # refused before allocating 320 GB
     with pytest.raises(FormatError):
         parse_instance("2 1\n0 0\n0 0\n0 0\n")  # too many rows
     with pytest.raises(FormatError):

@@ -1,6 +1,9 @@
 """Brute-force oracle and banded DP: agreement, limits, and state semantics."""
 
 import itertools
+import time
+import tracemalloc
+from typing import List
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from p3ap.solvers import (
     NotLayeredMongeError,
     OptimaLimitError,
     OracleSizeLimitError,
+    SolveReport,
     _row_placements,
 )
 from p3ap.structure import bandwidth
@@ -31,6 +35,103 @@ def hand_instance():
         [np.array([[0, 5], [5, 0]]), np.array([[1, 1], [1, 1]])], axis=2
     )
     return CostArray(layers)
+
+
+def _bruteforce_limits_ok(n: int, p: int) -> bool:
+    count = solvers._LATIN_RECTANGLES.get((n, p))
+    return count is not None and count <= solvers._MAX_BRUTEFORCE_RECTANGLES
+
+
+def dfs_bruteforce(
+    C: CostArray,
+    all_optima: bool = False,
+    prune: bool = False,
+    force: bool = False,
+) -> SolveReport:
+    """Exact optimum by row-by-row backtracking over all Latin rectangles.
+
+    The recursive search that solve_bruteforce replaced, kept as the oracle
+    for its optimum, witness, order of optima and states_explored.
+
+    With prune=True an admissible lower bound (suffix sums of per-column
+    layer minima) cuts branches; the optimum is unaffected.  With all_optima
+    every optimal rectangle is collected.  Unless force=True, raises
+    OracleSizeLimitError (CLI exit 3) when the instance has more than 2^24
+    feasible Latin rectangles: it admits any p for n <= 5, p <= 3 for n = 6,
+    p <= 2 for n = 7 and p = 1 for n = 8.
+    """
+    n, p = C.n, C.p
+    if not force and not _bruteforce_limits_ok(n, p):
+        raise OracleSizeLimitError(
+            f"oracle size limit: n={n}, p={p} exceeds the exhaustive-search "
+            "budget of 2^24 feasible Latin rectangles (any p for n <= 5, "
+            "p <= 3 for n = 6, p <= 2 for n = 7, p = 1 for n = 8); pass "
+            "force=True to override"
+        )
+    t0 = time.perf_counter()
+    layers = [[[int(C.entries[i, j, k]) for j in range(n)] for i in range(n)] for k in range(p)]
+
+    # colmin[k][j]: cheapest row choice for layer k, column j (0-based).
+    colmin = [[min(layers[k][i][j] for i in range(n)) for j in range(n)] for k in range(p)]
+    # row_suffix[k][j]: bound for columns j.. of layer k; layer_suffix[k]: layers k.. .
+    row_suffix = []
+    for k in range(p):
+        suf = [0] * (n + 1)
+        for j in range(n - 1, -1, -1):
+            suf[j] = suf[j + 1] + colmin[k][j]
+        row_suffix.append(suf)
+    layer_suffix = [0] * (p + 1)
+    for k in range(p - 1, -1, -1):
+        layer_suffix[k] = layer_suffix[k + 1] + row_suffix[k][0]
+
+    best = [None]
+    best_rows: List[tuple] = []
+    col_used = [[False] * (n + 1) for _ in range(n)]  # col_used[j][i]
+    row_vals = [[0] * n for _ in range(p)]
+    nodes = [0]
+
+    def place(k: int, j: int, partial: int, row_used: int):
+        nodes[0] += 1
+        if j == n:
+            if k + 1 == p:
+                total = partial
+                if best[0] is None or total < best[0]:
+                    best[0] = total
+                    del best_rows[:]
+                    best_rows.append(tuple(tuple(r) for r in row_vals))
+                elif all_optima and total == best[0]:
+                    best_rows.append(tuple(tuple(r) for r in row_vals))
+                return
+            place(k + 1, 0, partial, 0)
+            return
+        if prune and best[0] is not None:
+            bound = partial + row_suffix[k][j] + layer_suffix[k + 1]
+            if bound > best[0] or (not all_optima and bound == best[0]):
+                return
+        row = layers[k]
+        used_j = col_used[j]
+        for i in range(1, n + 1):
+            if used_j[i] or (row_used >> i) & 1:
+                continue
+            used_j[i] = True
+            row_vals[k][j] = i
+            place(k, j + 1, partial + row[i - 1][j], row_used | (1 << i))
+            used_j[i] = False
+        row_vals[k][j] = 0
+
+    place(0, 0, 0, 0)
+    rect = LatinRectangle(rows=best_rows[0])
+    report = SolveReport(
+        optimum=best[0],
+        solution=rect,
+        solver="brute",
+        states_explored=nodes[0],
+        wall_ms=(time.perf_counter() - t0) * 1e3,
+    )
+    if all_optima:
+        report.all_optima = [LatinRectangle(rows=r) for r in best_rows]
+        report.optima_count = len(best_rows)
+    return report
 
 
 def test_bruteforce_hand_checked():
@@ -87,9 +188,88 @@ def test_bruteforce_prune_equivalent():
     for seed in range(8):
         C = gen_random_layered_monge(5, 2, seed=seed)
         a = solve_bruteforce(C)
-        b = solve_bruteforce(C, prune=True)
+        b = dfs_bruteforce(C, prune=True)
         assert a.optimum == b.optimum
         assert a.solution.rows == b.solution.rows
+
+
+# Unpruned node counts of dfs_bruteforce, which takes 30-55 s to count each.
+DFS_NODES = {(6, 3): 63109957, (7, 2): 29366660}
+ORACLE_SHAPES = [(n, p) for n in range(1, 7) for p in range(1, n + 1)
+                 if _bruteforce_limits_ok(n, p)] + [(7, 2), (8, 1)]
+
+
+def oracle_cases(n, p):
+    """(instance, list all optima, prune) for the DFS oracle at (n, p).
+
+    The pruned DFS returns the unpruned optimum, witness and optima, and
+    prunes the zero and 0-1 instances to almost nothing.  The random layered
+    Monge instance runs unpruned and so also counts the DFS nodes, except at
+    (6, 3), where the pruned DFS takes 1-20 s over seeds 0-9 and seed 6 is
+    one of the fast ones, and at (7, 2), which runs only the 0-1 instance."""
+    zeros = CostArray(np.zeros((n, n, p), dtype=np.int64))
+    cases = [
+        (zeros, solvers._LATIN_RECTANGLES[(n, p)] <= 10_000, True),
+        (random_01_array(n, p, seed=n + p), True, True),
+    ]
+    if (n, p) == (6, 3):
+        cases.append((gen_random_layered_monge(n, p, seed=6), False, True))
+    elif (n, p) != (7, 2):
+        cases.insert(0, (gen_random_layered_monge(n, p, seed=n + p), True, False))
+    return cases
+
+
+@pytest.mark.parametrize("n, p", ORACLE_SHAPES)
+def test_bruteforce_matches_dfs_oracle(n, p):
+    nodes = DFS_NODES.get((n, p))
+    for C, listing, prune in oracle_cases(n, p):
+        want = dfs_bruteforce(C, all_optima=listing, prune=prune)
+        got = solve_bruteforce(C, all_optima=listing)
+        if not prune:
+            nodes = want.states_explored
+        assert got.optimum == want.optimum
+        assert got.solution.rows == want.solution.rows
+        assert got.optima_count == want.optima_count
+        if listing:
+            assert [r.rows for r in got.all_optima] == [r.rows for r in want.all_optima]
+        else:
+            assert got.all_optima is None
+        assert got.states_explored == nodes
+
+
+def test_bruteforce_table_budget():
+    # Forced (8, 2) would need a 40320 x 40320 first-conflict table.
+    zeros = CostArray(np.zeros((8, 8, 2), dtype=np.int64))
+    with pytest.raises(OracleSizeLimitError, match="1626024960 bytes"):
+        solve_bruteforce(zeros, force=True)
+    # p = 1 builds none, so (8, 1) stays far below that table's 1.6 GB.
+    tracemalloc.start()
+    try:
+        report = solve_bruteforce(gen_random_layered_monge(8, 1, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.states_explored == 109601
+    assert peak < 16 << 20
+
+
+def test_bruteforce_all_optima_limit():
+    # All 15,321,600 rectangles of the 6 x 6 x 3 zero array are optimal.
+    zeros = CostArray(np.zeros((6, 6, 3), dtype=np.int64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OptimaLimitError, match="15321600 optimal rectangles"):
+            solve_bruteforce(zeros, all_optima=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    # Not layered Monge, so solve_auto runs brute force, and passes the
+    # refusal on as is.
+    entries = np.zeros((6, 6, 3), dtype=np.int64)
+    entries[0, 0, 0] = 1
+    with pytest.raises(OptimaLimitError, match="too many to list"):
+        solve_auto(CostArray(entries), all_optima_in_band=True)
 
 
 def test_dp_hand_checked():
