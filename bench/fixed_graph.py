@@ -1,7 +1,7 @@
 """Cold and warm timings of one or more p3ap checkouts on a fixed grid.
 
     python bench/fixed_graph.py --side parent=../parent/src --side change=src \
-        --out BENCH_all_optima.json
+        --out BENCH_cli_io.json
 
 Each grid point runs in fresh interpreter processes, one per repeat.  A
 process makes one call with an empty cache ("cold"), then further calls on
@@ -13,13 +13,15 @@ call and its own peak RSS.  The kinds of call are:
   in-band rectangle is optimal, with a seeded decomposable shift at p = 2;
 - normalize: band_normalize of a cyclically shifted random permutation on
   gen_random_layered_monge, as in perfbench's normalize-p2;
-- brute: solve_bruteforce on gen_random_layered_monge.
+- brute: solve_bruteforce on gen_random_layered_monge;
+- io: format_instance and then parse_instance of the text on
+  gen_random_layered_monge, the text I/O of the CLI's gen, solve and check.
 
 Seeds do not depend on the side, and every side must return the same
 answers: optima, digests of the listed optima in order, or of the normalized
-rows, and for brute also the witness and states_explored.  Sides alternate
-which runs first at each grid point.  A point with no warm calls reports
-warm_s as null.
+rows, for brute also the witness and states_explored, and for io digests of
+the text and of the parsed array.  Sides alternate which runs first at each
+grid point.  A point with no warm calls reports warm_s as null.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ GRID = [
     ("ties", 2, 8, 3, 5), ("ties", 4, 5, 3, 2),
     ("normalize", 2, 70, 3, 5), ("normalize", 2, 80, 3, 5),
     ("brute", 2, 6, 3, 2), ("brute", 3, 6, 1, 1), ("brute", 2, 7, 1, 0),
+    ("io", 2, 500, 3, 5), ("io", 2, 2000, 3, 2),
 ]
 
 CHILD = r"""
@@ -47,12 +50,16 @@ sys.path.insert(0, sys.argv[1])
 import numpy as np
 from p3ap import CostArray, LatinRectangle, band_normalize, solve_bruteforce, solve_dp
 from p3ap.instances import gen_random_layered_monge
+from p3ap.io import format_instance, parse_instance
 from p3ap.monge import DecompositionTerms, apply_decomposable_shift
 kind = sys.argv[2]
 n, p, warm, seed = map(int, sys.argv[3:7])
 
+def sha(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
 def digest(rects):
-    return hashlib.sha256(repr([r.rows for r in rects]).encode()).hexdigest()[:16]
+    return sha(repr([r.rows for r in rects]).encode())
 
 def tied(seed):
     zeros = CostArray(np.zeros((n, n, p), dtype=np.int64))
@@ -79,6 +86,13 @@ def call(seed):
         t0 = time.process_time()
         out = band_normalize(rect, C)
         return time.process_time() - t0, digest([out])
+    if kind == "io":
+        t0 = time.process_time()
+        text = format_instance(C)
+        parsed, _ = parse_instance(text)
+        t = time.process_time() - t0
+        assert parsed == C
+        return t, [sha(text.encode()), sha(parsed.entries.tobytes())]
     if kind == "brute":
         t0 = time.process_time()
         r = solve_bruteforce(C)
@@ -140,8 +154,9 @@ def main():
         results.append(point)
     doc = {
         "what": "CPU seconds per call of solve_dp (dp), solve_dp with "
-                "all_optima_in_band (ties), band_normalize (normalize) or "
-                "solve_bruteforce (brute): cold "
+                "all_optima_in_band (ties), band_normalize (normalize), "
+                "solve_bruteforce (brute) or format_instance then "
+                "parse_instance (io): cold "
                 "(first call in a fresh process) and warm (later calls of the "
                 "same kind, n and p)",
         "machine": {

@@ -4,6 +4,8 @@ Instance text format: a line "n p", then p blocks separated by blank lines,
 each block n lines of n space-separated integers (the k-plane, row by row).
 Density files carry an extra "density" marker line after the header.
 Solution text format: p lines of n space-separated integers (rectangle rows).
+A JSON solution holds its rows under "rows", or under "solution_rows" as in
+the report of `p3ap solve --format json`.
 Lines starting with '#' are comments and are ignored everywhere.
 """
 
@@ -28,24 +30,46 @@ def _tokens(text: str):
         yield stripped
 
 
+def _parse_rows(rows: list, n: int) -> np.ndarray:
+    """The rows one at a time with int(), naming the first bad row.
+
+    Each row's storage is allocated only after its token count checks, so a
+    header cannot make this allocate more than the rows themselves hold.
+    """
+    parsed = []
+    for r, row in enumerate(rows):
+        k, i = divmod(r, n)
+        values = row.split()
+        if len(values) != n:
+            raise FormatError(
+                f"layer {k + 1}, row {i + 1}: expected {n} values, got {len(values)}"
+            )
+        try:
+            parsed.append(np.array([int(v) for v in values], dtype=np.int64))
+        except (ValueError, OverflowError) as e:
+            raise FormatError(f"layer {k + 1}, row {i + 1}: {e}")
+    return np.array(parsed)
+
+
 def _parse_tensor(rows: list, n: int, p: int) -> np.ndarray:
     if len(rows) < n * p:
         # Before allocating what the header announces: "200000 1" is 320 GB.
         k, i = divmod(len(rows), n)
         raise FormatError(f"truncated file: missing row {i + 1} of layer {k + 1}")
-    entries = np.empty((n, n, p), dtype=np.int64)
-    for k in range(p):
-        for i in range(n):
-            values = rows[k * n + i].split()
-            if len(values) != n:
-                raise FormatError(
-                    f"layer {k + 1}, row {i + 1}: expected {n} values, got {len(values)}"
-                )
-            try:
-                entries[i, :, k] = [int(v) for v in values]
-            except (ValueError, OverflowError) as e:
-                raise FormatError(f"layer {k + 1}, row {i + 1}: {e}")
-    return entries
+    rows = rows[: n * p]
+    flat = None
+    # On ASCII rows numpy's integer reader accepts a subset of what int()
+    # does, with the same values, and comments=None keeps "0 0 # 1" a bad
+    # row.  Past ASCII it is unsafe: numpy 2.4 read "1\U0009c6ca2" as
+    # 6406762 and crashed on "\U0009c6ca".  The loop gives int()'s answer.
+    if all(map(str.isascii, rows)):
+        try:
+            flat = np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if flat is None or flat.shape != (n * p, n):
+        flat = _parse_rows(rows, n)
+    return np.ascontiguousarray(flat.reshape(p, n, n).transpose(1, 2, 0))
 
 
 def parse_instance(text: str):
@@ -92,6 +116,17 @@ def load_instance(path) -> CostArray:
     return parsed
 
 
+def _rows_text(plane: np.ndarray) -> list:
+    """The rows of a 2-d array, each as its entries' int() joined by spaces.
+
+    "%d" formats exactly as str(int(v)) does.  One row goes through tolist()
+    at a time: a whole plane's list of lists would cost several MB of peak
+    memory.
+    """
+    fmt = " ".join(["%d"] * plane.shape[1])
+    return [fmt % tuple(row.tolist()) for row in plane]
+
+
 def format_instance(C: CostArray, header_comment: str = "") -> str:
     out = []
     if header_comment:
@@ -99,9 +134,7 @@ def format_instance(C: CostArray, header_comment: str = "") -> str:
     out.append(f"{C.n} {C.p}")
     for k in range(1, C.p + 1):
         out.append("")
-        plane = C.layer(k)
-        for i in range(C.n):
-            out.append(" ".join(str(int(v)) for v in plane[i]))
+        out.extend(_rows_text(C.layer(k)))
     return "\n".join(out) + "\n"
 
 
@@ -115,8 +148,7 @@ def format_density(density: np.ndarray, header_comment: str = "") -> str:
     out.append("density")
     for k in range(p):
         out.append("")
-        for i in range(n):
-            out.append(" ".join(str(int(v)) for v in d[i, :, k]))
+        out.extend(_rows_text(d[:, :, k]))
     return "\n".join(out) + "\n"
 
 
@@ -173,7 +205,11 @@ def load_solution_rows(path):
     if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
-            rows = tuple(tuple(row) for row in obj["rows"])
+            # `solve --format json` reports its witness as solution_rows.
+            key = "rows"
+            if isinstance(obj, dict) and key not in obj and "solution_rows" in obj:
+                key = "solution_rows"
+            rows = tuple(tuple(row) for row in obj[key])
         except (ValueError, KeyError, TypeError) as e:
             raise FormatError(f"bad JSON solution: {e}")
         if any(type(v) is not int for row in rows for v in row):

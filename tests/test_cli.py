@@ -140,6 +140,17 @@ def test_normalize_requires_layered_monge(tmp_path, capsys):
     assert captured.err == "error: normalize requires a layered Monge instance\n"
 
 
+def test_check_reads_the_solve_json_report(monge_file, tmp_path, capsys):
+    report = tmp_path / "s.json"
+    assert main(["solve", "--input", str(monge_file), "--format", "json",
+                 "--output", str(report)]) == 0
+    assert main(["check", "--input", str(monge_file), "--solution", str(report),
+                 "--format", "json"]) == 0
+    checked = json.loads(capsys.readouterr().out)
+    assert checked["feasible"] is True
+    assert checked["cost"] == json.loads(report.read_text())["optimum"]
+
+
 def test_check_infeasible_exit_code(monge_file, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2 3 4 5\n1 2 3 4 5\n")
@@ -190,6 +201,8 @@ def test_module_entry_point(tmp_path):
         ("utf16.txt", b"\xff\xfe2\x001\x00"),
         # A header announcing 200000 rows of 200000 entries, 320 GB of int64.
         ("huge-header.txt", "200000 1\n0\n"),
+        # All 100000 rows are there but short; once a 74.5 GiB allocation.
+        ("short-rows.txt", "100000 1\n" + "0\n" * 100000),
     ],
 )
 def test_unreadable_instance_exit_code(tmp_path, capsys, name, text):

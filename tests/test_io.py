@@ -1,11 +1,13 @@
 """Text and JSON round trips for instances, densities, and solutions."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 
 from p3ap import CostArray, LatinRectangle
+from p3ap import io as p3ap_io
 from p3ap.io import (
     FormatError,
     format_density,
@@ -101,6 +103,8 @@ def test_malformed_inputs_raise():
         parse_instance("2 1\n0 0\n")  # not enough rows
     with pytest.raises(FormatError, match="missing row 2 of layer 1"):
         parse_instance("200000 1\n0\n")  # refused before allocating 320 GB
+    with pytest.raises(FormatError, match="^layer 1, row 1: expected 100000 values, got 1$"):
+        parse_instance("100000 1\n" + "0\n" * 100000)  # once 74.5 GiB
     with pytest.raises(FormatError):
         parse_instance("2 1\n0 0\n0 0\n0 0\n")  # too many rows
     with pytest.raises(FormatError):
@@ -147,3 +151,98 @@ def test_bad_json_solution_entries_raise_format_error(tmp_path):
         path.write_text('{"rows": %s}' % rows)
         with pytest.raises(FormatError):
             load_solution_rows(path)
+
+
+def test_json_solution_reads_the_solve_report_key(tmp_path):
+    path = tmp_path / "sol.json"
+    path.write_text('{"optimum": 0, "solution_rows": [[2, 1], [1, 2]]}')
+    assert load_solution_rows(path) == ((2, 1), (1, 2))
+    path.write_text('{"rows": [[1, 2], [2, 1]], "solution_rows": [[2, 1], [1, 2]]}')
+    assert load_solution_rows(path) == ((1, 2), (2, 1))
+    path.write_text('{"optimum": 0}')
+    with pytest.raises(FormatError, match="^bad JSON solution: 'rows'$"):
+        load_solution_rows(path)
+
+
+def loop_parse_tensor(rows: list, n: int, p: int) -> np.ndarray:
+    """The per-row parser that the bulk path replaced, kept verbatim."""
+    if len(rows) < n * p:
+        # Before allocating what the header announces: "200000 1" is 320 GB.
+        k, i = divmod(len(rows), n)
+        raise FormatError(f"truncated file: missing row {i + 1} of layer {k + 1}")
+    entries = np.empty((n, n, p), dtype=np.int64)
+    for k in range(p):
+        for i in range(n):
+            values = rows[k * n + i].split()
+            if len(values) != n:
+                raise FormatError(
+                    f"layer {k + 1}, row {i + 1}: expected {n} values, got {len(values)}"
+                )
+            try:
+                entries[i, :, k] = [int(v) for v in values]
+            except (ValueError, OverflowError) as e:
+                raise FormatError(f"layer {k + 1}, row {i + 1}: {e}")
+    return entries
+
+
+# Tokens that int() and numpy's reader may treat differently: int64 bounds
+# and one past them, floats, digit separators, non-ASCII digits, a comment
+# sign, and a character that numpy 2.4 misreads as a digit, or crashes on,
+# if it is handed a non-ASCII row.
+ODD_TOKENS = [
+    "9223372036854775807", "-9223372036854775808", "+9223372036854775807",
+    "9223372036854775808", "-9223372036854775809", "99999999999999999999",
+    "1.0", "-2.5", "1e3", "nan", "inf", "1_0", "1__0", "_1", "1_", "١٢", "-١",
+    "１２", "#", "# 1", "+-1", "--1", "-", "+", "0x10", "007", "-0", "+0",
+    "x", "1\U0009c6ca2", "\U0009c6ca", "\x00",
+]
+SEPARATORS = [" ", " ", " ", "  ", "\t", " \t", "\x0b", "\xa0", "\u3000", "\x1f"]
+
+
+def fuzzed_body(rng):
+    n = rng.choice([1, 1, 2, 3, 4, 5])
+    p = rng.randint(1, min(n, 3) + (rng.random() < 0.1))
+    odd = rng.random() < 0.5
+    lines = [f"{n} {p}"]
+    if rng.random() < 0.15:
+        lines.append("density")
+    rows = n * p + (rng.choice([-1, 1, 2]) if odd and rng.random() < 0.2 else 0)
+    for r in range(max(rows, 0)):
+        if r % n == 0:
+            lines.append("")
+        if rng.random() < 0.05:
+            lines.append("# a comment line")
+        width = n + (rng.choice([-1, 1]) if odd and rng.random() < 0.1 else 0)
+        tokens = []
+        for _ in range(width):
+            if odd and rng.random() < 0.08:
+                tokens.append(rng.choice(ODD_TOKENS))
+            else:
+                sign = rng.choice(["", "", "", "-", "+"])
+                tokens.append(sign + str(rng.randint(0, 10 ** rng.randint(0, 6))))
+        sep = rng.choice(SEPARATORS) if odd else " "
+        lines.append(rng.choice(["", " ", "\t"]) + sep.join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(text):
+    try:
+        parsed, is_density = parse_instance(text)
+    except ValueError as e:  # FormatError, DimensionError or CostRangeError
+        return "error", type(e).__name__, str(e)
+    entries = parsed if is_density else parsed.entries
+    return "ok", is_density, entries.dtype.str, entries.flags.c_contiguous, entries.tolist()
+
+
+def test_bulk_parse_matches_the_row_loop(monkeypatch):
+    rng = random.Random(20140501)
+    kinds = set()
+    for case in range(2400):
+        text = fuzzed_body(rng)
+        got = parse_outcome(text)
+        with monkeypatch.context() as m:
+            m.setattr(p3ap_io, "_parse_tensor", loop_parse_tensor)
+            want = parse_outcome(text)
+        assert got == want, (case, text)
+        kinds.add(got[0])
+    assert kinds == {"ok", "error"}
