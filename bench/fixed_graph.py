@@ -1,14 +1,15 @@
 """Cold and warm timings of one or more p3ap checkouts on a fixed grid.
 
     python bench/fixed_graph.py --side parent=../parent/src --side change=src \
-        --out BENCH_cli_io.json
+        --out BENCH_one_engine.json
 
 Each grid point runs in fresh interpreter processes, one per repeat.  A
 process makes one call with an empty cache ("cold"), then further calls on
 instances of the same kind and (n, p) ("warm"), and reports CPU seconds per
 call and its own peak RSS.  The kinds of call are:
 
-- dp: solve_dp on gen_random_layered_monge;
+- dp: solve_dp on gen_random_layered_monge, whose answer is the optimum or,
+  when the DP refuses the instance, the refusal message;
 - ties: solve_dp with all_optima_in_band on the zero array, where every
   in-band rectangle is optimal, with a seeded decomposable shift at p = 2;
 - normalize: band_normalize of a cyclically shifted random permutation on
@@ -38,6 +39,7 @@ import sys
 GRID = [
     ("dp", 3, 7, 3, 5), ("dp", 3, 20, 1, 2), ("dp", 3, 60, 1, 3),
     ("dp", 2, 500, 3, 5), ("dp", 2, 2000, 3, 5),
+    ("dp", 5, 5, 3, 2), ("dp", 5, 7, 1, 0),
     ("ties", 2, 8, 3, 5), ("ties", 4, 5, 3, 2),
     ("normalize", 2, 70, 3, 5), ("normalize", 2, 80, 3, 5),
     ("brute", 2, 6, 3, 2), ("brute", 3, 6, 1, 1), ("brute", 2, 7, 1, 0),
@@ -52,6 +54,7 @@ from p3ap import CostArray, LatinRectangle, band_normalize, solve_bruteforce, so
 from p3ap.instances import gen_random_layered_monge
 from p3ap.io import format_instance, parse_instance
 from p3ap.monge import DecompositionTerms, apply_decomposable_shift
+from p3ap.solvers import OracleSizeLimitError
 kind = sys.argv[2]
 n, p, warm, seed = map(int, sys.argv[3:7])
 
@@ -98,8 +101,11 @@ def call(seed):
         r = solve_bruteforce(C)
         return time.process_time() - t0, [r.optimum, r.solution.rows, r.states_explored]
     t0 = time.process_time()
-    r = solve_dp(C)
-    return time.process_time() - t0, r.optimum
+    try:
+        answer = solve_dp(C).optimum
+    except OracleSizeLimitError as e:
+        answer = str(e)
+    return time.process_time() - t0, answer
 
 times, answers = [], []
 for k in range(1 + warm):

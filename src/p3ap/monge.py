@@ -41,19 +41,6 @@ def _adjacent_monge(a) -> bool:
     return True
 
 
-def is_monge_matrix_by_definition(M) -> bool:
-    """Quadruple-level check, used as the independent oracle in tests."""
-    M = np.asarray(M, dtype=np.int64)
-    n = M.shape[0]
-    for i in range(n):
-        for k in range(i + 1, n):
-            for j in range(n):
-                for l in range(j + 1, n):
-                    if M[i, j] + M[k, l] > M[i, l] + M[k, j]:
-                        return False
-    return True
-
-
 def is_layered_monge(C: CostArray) -> bool:
     """True iff every k-plane of C is a Monge matrix."""
     return _adjacent_monge(C.entries)

@@ -179,24 +179,25 @@ def solve_dp(
     and the report, and lists the optima.  Two interchangeable engines
     differ only in how they expand the rows.  Each returns the optimum, the
     witness's placement per row, the per-row state counts and a function
-    that lists every optimal rectangle.  "auto" runs the fixed-graph engine
-    while a signature fits in one machine integer (p <= 4).  A row's states
-    and transitions depend only on p, on how far its window is clipped by
-    the array's edges and on the incoming states, never on the costs, so
-    each row's transition graph is built once per process and cached, and a
-    solve only adds costs along its edges and takes minima.  A graph is
-    built into one int64 key per edge, sorted in place, and a row is swept
-    in blocks of whole target segments of about 2^16 edges, so that neither
-    holds more than one full-length temporary.  "reference" is the
-    plain dict-based version, which "auto" also runs for p >= 5.  Both
-    retain states in increasing packed-signature order and break cost ties
-    toward the earlier (predecessor order, then placement order) candidate,
-    so they produce identical reports: all_optima_in_band lists the same
-    optima in the same order, depth first in "reference" and in bulk in the
-    graph engine.  Both raise OracleSizeLimitError (CLI exit 3) before a row
-    whose incoming states times placements exceeds 2^27, such as row 3 of
-    an n = 8, p = 4 instance; every p <= 3 row and p = 4 up to n = 6 stay
-    within it, and OptimaLimitError before listing over 2^24 cells.
+    that lists every optimal rectangle.  "auto" runs the fixed-graph engine,
+    for every p.  A row's states and transitions depend only on p, on how far
+    its window is clipped by the array's edges and on the incoming states,
+    never on the costs, so each row's transition graph is built once per
+    process and cached, and a solve only adds costs along its edges and
+    takes minima.  A signature is one int64 word for p <= 4 and two or more
+    from p = 5 (see _RowGraph).  A graph is built into one key per edge, and
+    a row is swept in blocks of whole target segments of about 2^16 edges,
+    so that neither holds more than one full-length temporary.  "reference"
+    is the plain dict-based version, the test oracle.  Both retain states
+    in increasing packed-signature order and break cost ties toward the
+    earlier (predecessor order, then placement order) candidate, so they
+    produce identical reports: all_optima_in_band lists the same optima in
+    the same order, depth first in "reference" and in bulk in the graph
+    engine.  Both raise OracleSizeLimitError (CLI exit 3) before a row whose
+    incoming states times placements exceeds 2^27, such as row 3 of an
+    n = 8, p = 4 instance or of n = 7, p = 5; every p <= 3 row and p = 4 up
+    to n = 6 stay within it, and OptimaLimitError before listing over 2^24
+    cells.
     """
     n, p = C.n, C.p
     if not force and not is_layered_monge(C):
@@ -204,9 +205,9 @@ def solve_dp(
             "instance is not layered Monge; solve_dp is only exact on layered "
             "Monge arrays (pass force=True to run anyway)"
         )
-    if method == "auto" and p * (4 * p - 4) <= 62:
+    if method == "auto":
         engine = _solve_dp_graph
-    elif method in ("auto", "reference"):
+    elif method == "reference":
         engine = _solve_dp_reference
     else:
         raise ValueError(f"unknown DP method {method!r}")
@@ -266,6 +267,14 @@ def _row_clip(i: int, n: int, p: int):
     return max(0, 2 * p - 1 - i), max(0, i + 2 * p - 2 - n)
 
 
+def _words(packed: list, p: int, slots: int) -> np.ndarray:
+    """The words, shape (W, len(packed)), that hold the first slots slots of
+    packed signatures (slot t at bit p*t) in _RowGraph's layout."""
+    span = p * (63 // p)
+    return np.array([[(x >> span * w) & ((1 << span) - 1) for x in packed]
+                     for w in range(max(1, -(-slots * p // span)))], np.int64)
+
+
 class _RowGraph:
     """Cost-free transitions of one row, in window-relative coordinates.
 
@@ -275,35 +284,45 @@ class _RowGraph:
     tie-break order.  Target j owns the edges starts[j] .. starts[j] +
     counts[j] - 1.  next maps the clipping of the following row to its graph.
 
-    The edges are built into one int64 key per edge, packed as (target
-    signature, src, t) when that fits in 63 bits, as it always does for
-    p <= 3, and sorted in place; wider keys hold the signature alone and are
-    ordered by a lexsort on (signature, src).  blocks cuts the targets into
-    runs of whole in-edge segments of about _BLOCK_EDGES edges, each with the
-    views and block-local starts that the sweep reads.
+    A signature is W int64 words, and sigs has shape (W, S): slot t goes in
+    word t // cpw at bit p * (t % cpw), cpw = 63 // p.  W = 1 for p <= 4, the
+    plain packed layout, and 2 for p = 5 and 6.  The extended window's extra
+    slot can take one word more, as at p = 6.  A target drops slot 0: each
+    word shifts down one slot and takes the next word's low slot.  The edges
+    are built into a (W, E) int64 key.  When W = 1 and (target signature,
+    src, t) fits in 63 bits, as it always does for p <= 3, the key packs all
+    three and is sorted in place; otherwise it holds the signature and a
+    lexsort on (src, words), most significant word last, gives increasing
+    packed-signature order.  blocks cuts the targets into runs of whole
+    in-edge segments of about _BLOCK_EDGES edges, each with the views and
+    block-local starts that the sweep reads.
     """
 
     def __init__(self, p: int, clip, in_sigs: np.ndarray):
         lclip, rclip = clip
         full = (1 << p) - 1
         width = 4 * p - 4
+        W = in_sigs.shape[0]
         # Placements as column offsets from the extended window's left edge
         # (which leaves the window after this row), lexicographic as in
         # _row_placements.
         self.pls = list(itertools.permutations(range(lclip, width - rclip + 1), p))
-        self.flat = np.array(
-            [[c * p + k for k, c in enumerate(pl)] for pl in self.pls], dtype=np.intp
-        )
+        self.flat = np.array([[c * p + k for k, c in enumerate(pl)] for pl in self.pls], np.intp)
         # Extend each incoming window by its new right column, which counts
         # as complete when it lies off the array.
-        ext = in_sigs + ((full if rclip else 0) << (p * width))
+        right = _words([(full if rclip else 0) << (p * width)], p, width + 1)
+        ext = np.pad(in_sigs, ((0, len(right) - W), (0, 0))) + right
         # A placement fits when it hits no filled slot and, if the leaving
-        # column (slot 0) is in the array, completes it.
+        # column (slot 0, in word 0) is in the array, completes it.
         lead = 0 if lclip else full
-        adds = [sum(1 << (p * c + k) for k, c in enumerate(pl)) for pl in self.pls]
+        adds = _words([sum(1 << (p * c + k) for k, c in enumerate(pl)) for pl in self.pls],
+                      p, width + 1).T
 
         def fits(add):
-            return (ext & (add | lead)) == (lead & ~add)
+            ok = (ext[0] & (add[0] | lead)) == (lead & ~add[0])
+            for w in range(1, len(ext)):
+                ok &= (ext[w] & add[w]) == 0
+            return ok
 
         sizes = [np.count_nonzero(fits(add)) for add in adds]
         E = sum(sizes)
@@ -311,22 +330,23 @@ class _RowGraph:
             raise RuntimeError("internal error: no feasible band-limited extension")
         T = len(self.pls)
         t_type = np.min_scalar_type(T - 1)
-        src_bits = (in_sigs.size - 1).bit_length()
+        src_bits = (in_sigs.shape[1] - 1).bit_length()
         t_bits = (T - 1).bit_length()
-        packed = p * width + src_bits + t_bits <= 63
+        packed = W == 1 and p * width + src_bits + t_bits <= 63
         # key holds each edge's target signature, and below it, when packed,
         # its src and t: sorting it sorts the edges by (signature, src).
-        key = np.empty(E, dtype=np.int64)
+        key = np.empty((W, E), dtype=np.int64)
         if not packed:
             src = np.empty(E, dtype=np.int32)
             t = np.empty(E, dtype=t_type)
         o = 0
         for ti, (add, size) in enumerate(zip(adds, sizes)):
             sel = np.flatnonzero(fits(add))
-            part = key[o:o + size]
-            np.take(ext, sel, out=part)
-            part |= add
-            part >>= p
+            part = key[:, o:o + size]
+            moved = np.take(ext, sel, axis=1)
+            moved |= add[:, None]
+            np.right_shift(moved[:W], p, out=part)
+            part[:len(moved) - 1] |= (moved[1:] & full) << (p * (63 // p - 1))
             if packed:
                 part <<= src_bits + t_bits
                 sel <<= t_bits
@@ -341,23 +361,28 @@ class _RowGraph:
             src = np.empty(E, dtype=np.int32)
             t = np.empty(E, dtype=t_type)
             for a in range(0, E, _BLOCK_EDGES):
-                chunk = key[a:a + _BLOCK_EDGES]
+                chunk = key[0, a:a + _BLOCK_EDGES]
                 t[a:a + _BLOCK_EDGES] = chunk & ((1 << t_bits) - 1)
                 src[a:a + _BLOCK_EDGES] = (chunk >> t_bits) & ((1 << src_bits) - 1)
             key >>= src_bits + t_bits
-            sig = key
         else:
-            order = np.lexsort((src, key))
-            sig, src, t = key[order], src[order], t[order]
-            del key, order
-        self.src, self.t = src, t
+            order = np.lexsort((src, *key))
+        # The sorted signatures, key itself when packed and else key[:, order],
+        # are compared a chunk at a time, so no sorted copy of key is made.
         first = np.ones(E, dtype=bool)
-        np.not_equal(sig[1:], sig[:-1], out=first[1:])
+        for a in range(1, E, _BLOCK_EDGES):
+            at = np.s_[a - 1:a + _BLOCK_EDGES]
+            pair = key[:, at if packed else order[at]]
+            first[a:a + _BLOCK_EDGES] = (pair[:, 1:] != pair[:, :-1]).any(axis=0)
         self.starts = np.flatnonzero(first)
         self.counts = np.diff(np.append(self.starts, E))
-        self.sigs = sig[self.starts]
+        self.sigs = key[:, self.starts if packed else order[self.starts]]
+        if not packed:
+            del key, part  # part is a view of key
+            src, t = src[order], t[order]
+        self.src, self.t = src, t
 
-        S = self.sigs.size
+        S = self.starts.size
         self.blocks = [(0, S, 0, src, t, self.starts, self.counts)]
         held = [self.flat, src, t, self.starts, self.counts, self.sigs]
         cuts = np.searchsorted(self.starts, np.arange(_BLOCK_EDGES, E, _BLOCK_EDGES))
@@ -378,7 +403,7 @@ class _RowGraph:
 
 # A row is swept in blocks of whole target segments of about this many
 # edges, so that its per-edge temporaries stay in cache; a graph's sorted
-# keys are decoded in chunks of the same size.
+# keys are decoded and compared in chunks of the same size.
 _BLOCK_EDGES = 1 << 16
 # A row whose incoming states times placements exceeds this is refused
 # before its edges are counted.  The largest p = 3 row has 145,500 x 504 =
@@ -424,23 +449,23 @@ def _next_graph(prev: Optional[_RowGraph], p: int, clip, in_sigs: np.ndarray) ->
 
 def _solve_dp_graph(C: CostArray, all_optima: bool):
     n, p = C.n, C.p
-    width = 4 * p - 4
     # Row i of the array, flattened: entry (j, k) sits at (j - 1) * p + k.
     row_costs = C.entries.reshape(n, n * p)
 
     g = None
-    sigs = np.array([_pack_sig(_init_sig(n, p), p)], dtype=np.int64)
+    sigs = _words([_pack_sig(_init_sig(n, p), p)], p, 4 * p - 4)
     costs = np.zeros(1, dtype=np.int64)
     graphs, preds, ties = [], [], []
     state_counts = [1]
     for i in range(1, n + 1):
         clip = _row_clip(i, n, p)
-        _check_row_size(n, p, i, sigs.size, clip)
+        _check_row_size(n, p, i, sigs.shape[1], clip)
         g = _next_graph(g, p, clip, sigs)
         base = i - 2 * p + 2
         delta = row_costs[i - 1, (base - 1) * p + g.flat].sum(axis=1)
-        out = np.empty(g.sigs.size, dtype=np.int64)
-        pred = np.empty(g.sigs.size, dtype=np.int32)
+        S = g.starts.size
+        out = np.empty(S, dtype=np.int64)
+        pred = np.empty(S, dtype=np.int32)
         parts = []
         for s0, s1, e0, *edges in g.blocks:
             out[s0:s1], hit, tied = _sweep_block(costs, delta, *edges, all_optima)
@@ -450,48 +475,43 @@ def _solve_dp_graph(C: CostArray, all_optima: bool):
         costs = out
         if all_optima:
             owner, hit = (np.concatenate(a) for a in zip(*parts))
-            ties.append((np.searchsorted(owner, np.arange(g.sigs.size + 1)), g.src[hit], g.t[hit]))
+            ties.append((np.searchsorted(owner, np.arange(S + 1)), g.src[hit], g.t[hit]))
         graphs.append(g)
         preds.append(pred)
         sigs = g.sigs
-        state_counts.append(sigs.size)
+        state_counts.append(S)
 
-    target = (1 << (p * width)) - 1
-    final = np.flatnonzero(sigs == target)
-    if final.size != 1:
-        raise RuntimeError(
-            f"internal error: expected exactly one final state, got {final.size}"
-        )
-    final_state = int(final[0])
-    optimum = int(costs[final_state])
+    # After row n its n * p cells fill every in-range window column, and the
+    # out-of-range ones count as complete: one state is left.
+    if costs.size != 1:
+        raise RuntimeError(f"internal error: expected exactly one final state, got {costs.size}")
+    optimum = int(costs[0])
 
-    placements, state = [None] * n, final_state
+    placements, state = [None] * n, 0
     for i, g, pred in zip(range(n, 0, -1), graphs[::-1], preds[::-1]):
         e = pred[state]
         placements[i - 1] = [i - 2 * p + 2 + c for c in g.pls[g.t[e]]]
         state = int(g.src[e])
-    return optimum, placements, state_counts, lambda: _list_optima(
-        graphs, ties, final_state, n, p
-    )
+    return optimum, placements, state_counts, lambda: _list_optima(graphs, ties, n, p)
 
 
 _LIST_CHUNK = 4096  # optima listed per chunk, which bounds the temporaries
 
 
-def _list_optima(graphs, ties, final_state: int, n: int, p: int) -> list:
+def _list_optima(graphs, ties, n: int, p: int) -> list:
     """Every optimal rectangle in the order of _walk_optima, in bulk.
 
     Row i's minimal in-edges into state s are ties[i - 1] = (first, src, t)
     from first[s] to first[s + 1], in tie order.  Paths grow breadth first
-    from the final state, children in tie order, which keeps the depth-first
+    from the final state 0, children in tie order, which keeps the depth-first
     order; then a walk back through the parents scatters the placements."""
 
     def prevs(i, s):
         first, src, _ = ties[i - 1]
         return src[first[s]:first[s + 1]].tolist()
 
-    total = _count_optima(n, p, final_state, prevs)
-    levels, state = [], np.array([final_state])
+    total = _count_optima(n, p, 0, prevs)
+    levels, state = [], np.array([0])
     for first, src, t in reversed(ties):
         lo = first[state]
         k = first[state + 1] - lo

@@ -102,6 +102,18 @@ def test_solve_refuses_oversized_dp_rows(tmp_path):
         assert "Traceback" not in err
 
 
+def test_solve_refuses_oversized_p5_rows(tmp_path):
+    inst = tmp_path / "p5.txt"
+    assert main(["gen", "random-monge", "--n", "7", "--p", "5",
+                 "--seed", "1", "--output", str(inst)]) == 0
+    code, out, err = run_cli(["solve", "--input", str(inst)])
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: DP size limit: row 3 of n=7, p=5 has 871290 incoming states x "
+        "2520 placements = 2195650800 candidate transitions, more than 2^27\n"
+    )
+
+
 def test_check_and_blocks(monge_file, tmp_path, capsys):
     sol = tmp_path / "sol.txt"
     assert main(["solve", "--input", str(monge_file), "--output",

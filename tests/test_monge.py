@@ -18,11 +18,24 @@ from p3ap import (
     make_triply_graded,
 )
 from p3ap.instances import gen_random_layered_monge
-from p3ap.monge import is_monge_matrix_by_definition, is_triply_graded
+from p3ap.monge import is_triply_graded
 from p3ap.solvers import solve_bruteforce
 
 from test_core import random_rectangle
 import random
+
+
+def is_monge_matrix_by_definition(M) -> bool:
+    """Quadruple-level check, the independent oracle of the adjacent criterion."""
+    M = np.asarray(M, dtype=np.int64)
+    n = M.shape[0]
+    for i in range(n):
+        for k in range(i + 1, n):
+            for j in range(n):
+                for l in range(j + 1, n):
+                    if M[i, j] + M[k, l] > M[i, l] + M[k, j]:
+                        return False
+    return True
 
 
 def quadratic_monge(n):

@@ -89,6 +89,39 @@ def test_row_graphs_match_concatenate_build(monkeypatch, n, p):
         assert g.pls == want.pls
         for name in GRAPH_ARRAYS:
             a, b = getattr(g, name), getattr(want, name)
+            if name == "sigs":
+                a = a.reshape(-1)  # one word per signature for p <= 4
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+
+
+def packed_sigs(words, p):
+    """Signatures of W words, shape (W, S), as Python ints with slot t at
+    bit p*t, the layout of the single-word engine."""
+    span = p * (63 // p)
+    return np.array([sum(int(w) << span * k for k, w in enumerate(col)) for col in words.T],
+                    dtype=object)
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_multiword_row_graphs_match_a_python_int_build(monkeypatch, p):
+    # At n = 6 the windows of rows 1 and 2 reach past the first word; at
+    # p = 6 the extended window also takes one word more than a signature.
+    # ConcatRowGraph runs unchanged on Python-int signatures.
+    monkeypatch.setattr(solvers, "_MAX_ROW_CANDIDATES", 720 * 720)
+    monkeypatch.setattr(solvers, "_GRAPHS", {})
+    with pytest.raises(OracleSizeLimitError, match=f"row 3 of n=6, p={p} "):
+        solve_dp(gen_random_layered_monge(6, p, seed=1))
+    assert len(solvers._GRAPHS) == 2
+    for (gp, clip, raw), g in solvers._GRAPHS.items():
+        assert g.sigs.shape[0] == 2
+        words = np.frombuffer(raw, dtype=np.int64).reshape(2, -1)
+        want = ConcatRowGraph(gp, clip, packed_sigs(words, p))
+        assert g.pls == want.pls
+        for name in GRAPH_ARRAYS:
+            a, b = getattr(g, name), getattr(want, name)
+            if name == "sigs":
+                a = packed_sigs(a, p)
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
 

@@ -321,7 +321,8 @@ def test_default_and_reference_engines_agree():
 
 
 def test_dp_cold_and_warm_cache_reports_identical():
-    for n, p, seed in ((6, 3, 4), (12, 2, 5)):
+    # At p = 5 the cache key is the bytes of two-word signatures.
+    for n, p, seed in ((6, 3, 4), (12, 2, 5), (5, 5, 6)):
         C = gen_random_layered_monge(n, p, seed=seed)
         solvers._GRAPHS.clear()
         cold = solve_dp(C, all_optima_in_band=True)
@@ -402,6 +403,8 @@ def tied_instance(n, p, seed):
         (4, 4, None, 576),
         (8, 2, 11, 21252),
         (5, 3, 12, 66240),
+        (5, 5, None, 161280),
+        (5, 5, 13, 161280),
     ],
 )
 def test_bulk_listing_keeps_the_reference_order_on_ties(n, p, seed, count):
@@ -416,9 +419,9 @@ def test_bulk_listing_keeps_the_reference_order_on_ties(n, p, seed, count):
     assert a.solution == b.solution == a.all_optima[0]
 
 
-def test_dp_p5_runs_the_reference_engine_and_matches_bruteforce():
-    # p >= 5 signatures do not fit in one machine integer, so "auto" runs
-    # the reference engine.
+def test_dp_p5_matches_bruteforce():
+    # p >= 5 signatures do not fit in one machine integer; the graph engine
+    # holds them in two words.
     C = gen_random_layered_monge(5, 5, 0)
     r = solve_dp(C)
     assert r.optimum == solve_bruteforce(C).optimum
@@ -445,6 +448,34 @@ def test_reference_engine_checks_row_size_before_listing_placements(monkeypatch)
     monkeypatch.setattr(solvers, "_row_placements", refuse)
     C = CostArray(np.zeros((19, 19, 10), dtype=np.int64))
     with pytest.raises(OracleSizeLimitError, match="row 1 of n=19, p=10"):
+        solve_dp(C, method="reference")
+
+
+def test_graph_engine_checks_row_size_before_building_the_row(monkeypatch):
+    def refuse(p, clip, in_sigs):
+        raise AssertionError(f"row graph of clip {clip} built")
+
+    monkeypatch.setattr(solvers, "_RowGraph", refuse)
+    C = CostArray(np.zeros((19, 19, 10), dtype=np.int64))
+    with pytest.raises(OracleSizeLimitError, match="row 1 of n=19, p=10"):
+        solve_dp(C)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dp_p5_reports_match_the_reference_engine(seed):
+    C = gen_random_layered_monge(5, 5, seed)
+    a = solve_dp(C, all_optima_in_band=True)
+    b = solve_dp(C, all_optima_in_band=True, method="reference")
+    assert report_fields(a) == report_fields(b)
+
+
+def test_dp_p5_refusal_comes_at_row_3():
+    # The message counts the states of row 2, which the engine builds.
+    C = gen_random_layered_monge(7, 5, 1)
+    with pytest.raises(
+        OracleSizeLimitError,
+        match=r"row 3 of n=7, p=5 has 871290 incoming states x 2520 placements",
+    ):
         solve_dp(C)
 
 
