@@ -284,6 +284,9 @@ def main(argv=None) -> int:
     except DimensionError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INPUT
+    except MemoryError as e:
+        sys.stderr.write(f"error: out of memory{f': {e}' if str(e) else ''}\n")
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

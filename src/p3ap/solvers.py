@@ -9,6 +9,7 @@ bottom over a sliding window of 4p - 4 column signatures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -183,18 +184,19 @@ def solve_dp(
     for every p.  A row's states and transitions depend only on p, on how far
     its window is clipped by the array's edges and on the incoming states,
     never on the costs, so each row's transition graph is built once per
-    process and cached, and a solve only adds costs along its edges and
-    takes minima.  A signature is one int64 word for p <= 4 and two or more
-    from p = 5 (see _RowGraph).  A graph is built into one key per edge, and
-    a row is swept in blocks of whole target segments of about 2^16 edges,
-    so that neither holds more than one full-length temporary.  "reference"
-    is the plain dict-based version, the test oracle.  Both retain states
-    in increasing packed-signature order and break cost ties toward the
-    earlier (predecessor order, then placement order) candidate, so they
-    produce identical reports: all_optima_in_band lists the same optima in
-    the same order, depth first in "reference" and in bulk in the graph
-    engine.  Both raise OracleSizeLimitError (CLI exit 3) before a row whose
-    incoming states times placements exceeds 2^27, such as row 3 of an
+    process and cached.  A signature is one int64 word for p <= 4 and two or
+    more from p = 5 (see _RowGraph).  A solve only adds costs along a row's
+    edges and takes each target's minimum, in blocks of about 2^16 edges,
+    and keeps the row's incoming costs (see _keep).  From those the witness
+    takes each traced state's first minimal in-edge, and all_optima_in_band
+    finds the minimal in-edges of every row again.
+    "reference" is the plain dict-based version, the test oracle.  Both
+    retain states in increasing packed-signature order and break cost ties
+    toward the earlier (predecessor order, then placement order) candidate,
+    so they produce identical reports: all_optima_in_band lists the same
+    optima in the same order, depth first in "reference" and in bulk in the
+    graph engine.  Both raise OracleSizeLimitError (CLI exit 3) before a row
+    whose incoming states times placements exceeds 2^27, such as row 3 of an
     n = 8, p = 4 instance or of n = 7, p = 5; every p <= 3 row and p = 4 up
     to n = 6 stay within it, and OptimaLimitError before listing over 2^24
     cells.
@@ -208,11 +210,11 @@ def solve_dp(
     if method == "auto":
         engine = _solve_dp_graph
     elif method == "reference":
-        engine = _solve_dp_reference
+        engine = functools.partial(_solve_dp_reference, all_optima=all_optima_in_band)
     else:
         raise ValueError(f"unknown DP method {method!r}")
     t0 = time.perf_counter()
-    optimum, placements, state_counts, list_optima = engine(C, all_optima_in_band)
+    optimum, placements, state_counts, list_optima = engine(C)
     report = SolveReport(
         optimum=optimum,
         solution=_rect_from_placements(placements, n, p),
@@ -447,7 +449,7 @@ def _next_graph(prev: Optional[_RowGraph], p: int, clip, in_sigs: np.ndarray) ->
     return g
 
 
-def _solve_dp_graph(C: CostArray, all_optima: bool):
+def _solve_dp_graph(C: CostArray):
     n, p = C.n, C.p
     # Row i of the array, flattened: entry (j, k) sits at (j - 1) * p + k.
     row_costs = C.entries.reshape(n, n * p)
@@ -455,7 +457,7 @@ def _solve_dp_graph(C: CostArray, all_optima: bool):
     g = None
     sigs = _words([_pack_sig(_init_sig(n, p), p)], p, 4 * p - 4)
     costs = np.zeros(1, dtype=np.int64)
-    graphs, preds, ties = [], [], []
+    kept = []  # per row: its graph, placement costs and _keep(incoming costs)
     state_counts = [1]
     for i in range(1, n + 1):
         clip = _row_clip(i, n, p)
@@ -463,23 +465,15 @@ def _solve_dp_graph(C: CostArray, all_optima: bool):
         g = _next_graph(g, p, clip, sigs)
         base = i - 2 * p + 2
         delta = row_costs[i - 1, (base - 1) * p + g.flat].sum(axis=1)
-        S = g.starts.size
-        out = np.empty(S, dtype=np.int64)
-        pred = np.empty(S, dtype=np.int32)
-        parts = []
-        for s0, s1, e0, *edges in g.blocks:
-            out[s0:s1], hit, tied = _sweep_block(costs, delta, *edges, all_optima)
-            pred[s0:s1] = hit + e0
-            if all_optima:
-                parts.append((tied[0] + s0, tied[1] + e0))
+        out = np.empty(g.starts.size, dtype=np.int64)
+        for s0, s1, e0, src, t, starts, _ in g.blocks:
+            cand = costs[src]
+            cand += delta[t]
+            out[s0:s1] = np.minimum.reduceat(cand, starts)
+        kept.append((g, delta, _keep(costs)))
         costs = out
-        if all_optima:
-            owner, hit = (np.concatenate(a) for a in zip(*parts))
-            ties.append((np.searchsorted(owner, np.arange(S + 1)), g.src[hit], g.t[hit]))
-        graphs.append(g)
-        preds.append(pred)
         sigs = g.sigs
-        state_counts.append(S)
+        state_counts.append(out.size)
 
     # After row n its n * p cells fill every in-range window column, and the
     # out-of-range ones count as complete: one state is left.
@@ -487,24 +481,50 @@ def _solve_dp_graph(C: CostArray, all_optima: bool):
         raise RuntimeError(f"internal error: expected exactly one final state, got {costs.size}")
     optimum = int(costs[0])
 
+    # Each traced state takes its first minimal in-edge, in tie-break order:
+    # argmin returns the first minimum.
     placements, state = [None] * n, 0
-    for i, g, pred in zip(range(n, 0, -1), graphs[::-1], preds[::-1]):
-        e = pred[state]
+    for i, (g, delta, prev) in zip(range(n, 0, -1), kept[::-1]):
+        e0 = int(g.starts[state])
+        seg = np.s_[e0:e0 + g.counts[state]]
+        e = e0 + int(np.argmin(prev[g.src[seg]] + delta[g.t[seg]]))
         placements[i - 1] = [i - 2 * p + 2 + c for c in g.pls[g.t[e]]]
         state = int(g.src[e])
-    return optimum, placements, state_counts, lambda: _list_optima(graphs, ties, n, p)
+    return optimum, placements, state_counts, lambda: _list_optima(kept, n, p)
+
+
+def _keep(costs: np.ndarray) -> np.ndarray:
+    """Incoming costs as a row keeps them: offsets from their minimum in the
+    smallest unsigned type that holds a spread below 2^32, else the int64
+    row.  Minima and argmins ignore the shift, and offset + delta is int64."""
+    lo = int(costs.min())
+    spread = int(costs.max()) - lo
+    if spread >> 32:
+        return costs
+    return (costs - lo).astype(np.min_scalar_type(spread))
 
 
 _LIST_CHUNK = 4096  # optima listed per chunk, which bounds the temporaries
 
 
-def _list_optima(graphs, ties, n: int, p: int) -> list:
+def _list_optima(kept, n: int, p: int) -> list:
     """Every optimal rectangle in the order of _walk_optima, in bulk.
 
-    Row i's minimal in-edges into state s are ties[i - 1] = (first, src, t)
-    from first[s] to first[s + 1], in tie order.  Paths grow breadth first
-    from the final state 0, children in tie order, which keeps the depth-first
-    order; then a walk back through the parents scatters the placements."""
+    Each row's sweep runs again, block by block, over its kept (graph,
+    delta, incoming costs) to find its minimal in-edges: those into state s
+    are ties[i - 1] = (first, src, t) from first[s] to first[s + 1], in tie
+    order.  Paths grow breadth first from the final state 0, children
+    in tie order, which keeps the depth-first order; then a walk back through
+    the parents scatters the placements."""
+    ties = []
+    for g, delta, prev in kept:
+        hit = []
+        for _, _, e0, src, t, starts, counts in g.blocks:
+            cand = prev[src] + delta[t]
+            best = np.minimum.reduceat(cand, starts)
+            hit.append(np.flatnonzero(cand == np.repeat(best, counts)) + e0)
+        hit = np.concatenate(hit)
+        ties.append((np.append(np.searchsorted(hit, g.starts), hit.size), g.src[hit], g.t[hit]))
 
     def prevs(i, s):
         first, src, _ = ties[i - 1]
@@ -524,34 +544,12 @@ def _list_optima(graphs, ties, n: int, p: int) -> list:
         at = np.arange(a, min(a + _LIST_CHUNK, total))
         path = np.arange(at.size)[:, None]
         rows = np.zeros((at.size, p, n), dtype=np.min_scalar_type(n))
-        for i, (g, (parent, t)) in enumerate(zip(graphs, reversed(levels)), start=1):
+        for i, ((g, _, _), (parent, t)) in enumerate(zip(kept, reversed(levels)), start=1):
             # flat = column offset * p + layer; the window starts at column i - 2p + 2.
             rows[path, layer, g.flat[t[at]] // p + (i - 2 * p + 1)] = i
             at = parent[at]
         optima.extend(LatinRectangle(rows=r) for r in rows.tolist())
     return optima
-
-
-def _sweep_block(costs, delta, src, t, starts, counts, all_optima: bool):
-    """Minimal costs of a run of targets from their in-edges src/t, where
-    target j owns edges starts[j] .. starts[j] + counts[j] - 1; the first
-    minimal in-edge of each target; with all_optima, the (target, edge)
-    pairs of every minimal in-edge.  Edge and target indices are local."""
-    cand = costs[src]
-    cand += delta[t]
-    best = np.minimum.reduceat(cand, starts)
-    hit = np.flatnonzero(cand == np.repeat(best, counts))
-    tied = None
-    # Each target has at least one minimal edge; the first is its earliest
-    # in tie-break order.
-    if all_optima or hit.size != best.size:
-        owner = np.searchsorted(starts, hit, side="right") - 1
-        first = np.ones(hit.size, dtype=bool)
-        first[1:] = owner[1:] != owner[:-1]
-        if all_optima:
-            tied = (owner, hit)
-        hit = hit[first]
-    return best, hit, tied
 
 
 def _solve_dp_reference(C: CostArray, all_optima: bool):

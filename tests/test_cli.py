@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from p3ap import io as p3ap_io
+from p3ap import instances, io as p3ap_io
 from p3ap.cli import main
 from p3ap.instances import gen_random_layered_monge
 
@@ -59,6 +60,30 @@ def test_gen_rejects_bad_arguments_cleanly(capsys):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert main(["gen", "random-monge", "--n", "3", "--p", "4"]) == 2
     assert capsys.readouterr().err == "error: need 1 <= p <= n, got n=3, p=4\n"
+
+
+def test_gen_out_of_memory_exits_3(monkeypatch, capsys):
+    # gen random-monge --n 100000 --p 2 would ask numpy for 74.5 GiB.
+    def refuse(n, p, seed):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000) and data type int64")
+
+    monkeypatch.setattr(instances, "gen_random_layered_monge", refuse)
+    assert main(["gen", "random-monge", "--n", "100000", "--p", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: out of memory: Unable to allocate 74.5 GiB for an array "
+                   "with shape (100000, 100000) and data type int64\n")
+
+
+def test_gen_rejects_extra_blocks_past_int64_quickly(capsys):
+    # The top tier a^(3 + extra) is refused before any tier is computed.
+    t0 = time.perf_counter()
+    assert main(["gen", "counterexample-ext", "--extra-blocks", "100000"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr() == (
+        "", "error: top tier a^100003 for a=10 too large for int64 entries\n"
+    )
 
 
 def test_solve_text_and_json(monge_file, capsys):

@@ -625,3 +625,48 @@ def test_signature_determines_completions():
             assert len(comps) == 1, f"signature {sig} has diverging completions"
             checked += len(group)
         assert checked > 0
+
+
+def int64_edge_instance(n, p, seed, spread):
+    """A sum-decomposable shift of a sparse distribution array, whose many
+    ties survive it, with entries reaching the CostRangeError cap.  Every
+    state of a row has placed the same rows, so the row terms B add the same
+    to all of them; with spread, the column terms D spread a row's costs far
+    past 2^32."""
+    rng = np.random.default_rng(seed)
+    density = (rng.random((n, n, p)) < 0.2).astype(np.int64)
+    base = build_distribution_array(density)
+    cap = (2**63 - 1) // max(4, n * p)
+    half = (cap - int(np.abs(base.entries).max())) // 2
+    B, D = rng.integers(-half, half + 1, size=(2, n, p))
+    B[0, 0] = D[0, 0] = -half  # so entry (1, 1, 1) is within 2 * 125 of -cap
+    if not spread:
+        B, D = B + D, np.zeros_like(D)
+    terms = DecompositionTerms(A=np.zeros((n, n), dtype=np.int64), B=B, D=D)
+    return apply_decomposable_shift(base, terms)[0], cap
+
+
+def test_dp_is_exact_at_the_int64_edge(monkeypatch):
+    kinds = []
+    keep = solvers._keep
+
+    def recording(costs):
+        row = keep(costs)
+        kinds[-1].add(row.dtype.kind)
+        return row
+
+    monkeypatch.setattr(solvers, "_keep", recording)
+    shapes = [(n, p) for n in range(1, 6) for p in range(1, min(n, 3) + 1)]
+    for seed in range(200):
+        n, p = shapes[seed % len(shapes)]
+        spread = seed // len(shapes) % 2 == 1
+        C, cap = int64_edge_instance(n, p, seed, spread)
+        assert int(np.abs(C.entries).max()) > cap - 2 * 125
+        kinds.append(set())
+        got = solve_dp(C, all_optima_in_band=True)
+        want = solve_dp(C, all_optima_in_band=True, method="reference")
+        assert report_fields(got) == report_fields(want), (n, p, seed)
+        assert got.optimum == solve_bruteforce(C).optimum == cost(C, got.solution)
+        # Rows keep unsigned offsets, except that with spread some row of
+        # p >= 2, where rows have more than one state, keeps raw int64 costs.
+        assert kinds[-1] == ({"u", "i"} if spread and p > 1 else {"u"}), (n, p, seed)
