@@ -176,6 +176,10 @@ def _extended_density(extra: int, params: CounterexampleParams):
     # a >= 10, so a^63 and up are past 2^63 without computing them.
     if 3 + extra >= 63 or a ** (3 + extra) >= 2**63:
         raise OverflowError(f"top tier a^{3 + extra} for a={a} too large for int64 entries")
+    if 10 * a ** (3 + extra) >= 2**63:
+        raise OverflowError(
+            f"layer-2 spike 10*a^{3 + extra} for a={a} too large for int64 entries"
+        )
     n = 10 + 2 * extra
     tiers = [1, 1, a, a, a]
     for t in range(2, 3 + extra):

@@ -9,6 +9,7 @@ i = rows[k-1][j-1] into the band |i - j| <= 2p - 2 without losing optimality.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -79,6 +80,12 @@ def band_normalize(sol: LatinRectangle, C: CostArray) -> LatinRectangle:
     q in row k moves the smaller value left, which the Monge inequality on
     layer k makes non-increasing in cost.  Convert a PartialLatinSquare with
     to_latin_rectangle first.
+
+    The state is O(n*p): the rows, the column of each value in each row,
+    the value set of each column and a heap of the out-of-band entries, in
+    which an entry goes stale, and is skipped, once its cell changes.  An
+    exchange rewrites two cells of one row and pushes at most two entries,
+    so it costs O(log(n*p)) beyond its partner scan of at most n values.
     """
     if not isinstance(sol, LatinRectangle):
         raise TypeError(
@@ -89,34 +96,46 @@ def band_normalize(sol: LatinRectangle, C: CostArray) -> LatinRectangle:
         raise NotLayeredMongeError("band_normalize requires a layered Monge cost array")
     n, p = sol.n, sol.p
     band = 2 * p - 2
-    out = sol
+    rows = [list(row) for row in sol.rows]
+    pos = [[0] * (n + 1) for _ in range(p)]
+    for i, j, k in sol.triples():
+        pos[k - 1][i] = j
+    columns = [set(c) for c in zip(*rows)]
+    heap = [(-abs(i - j), i, j, k) for i, j, k in sol.triples() if abs(i - j) > band]
+    heapq.heapify(heap)
 
     max_exchanges = n * p * 2 * n + 1
     for _ in range(max_exchanges):
-        outside = [(-abs(i - j), i, j, k) for i, j, k in out.triples() if abs(i - j) > band]
-        if not outside:
+        # An entry is live while its cell still holds it.
+        while heap and rows[heap[0][3] - 1][heap[0][2] - 1] != heap[0][1]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        _, i, j, k = min(outside)
-        row = list(out.rows[k - 1])
-        columns = [set(c) for c in zip(*out.rows)]
-        partner = None
+        _, i, j, k = heapq.heappop(heap)
+        row, where = rows[k - 1], pos[k - 1]
         for q in range(i + 1, n + 1) if j > i else range(1, i):
-            r = row.index(q) + 1
+            r = where[q]
             # r is never j, because row k holds i in column j.
             if (r < j) == (j > i) and i not in columns[r - 1] and q not in columns[j - 1]:
-                partner = q
                 break
-        if partner is None:
+        else:
             raise RuntimeError(
                 f"internal error: no exchange partner for pivot ({i},{j}) at "
                 f"offset {abs(i - j)} > {band}; contradicts the bandwidth theorem"
             )
-        # As swap(out, min(i, partner), max(i, partner), k), but validated once.
-        row[j - 1], row[r - 1] = partner, i
-        out = LatinRectangle(rows=out.rows[:k - 1] + (tuple(row),) + out.rows[k:])
+        # The swap of i and q in row k; the rows are validated once, at the end.
+        row[j - 1], row[r - 1] = q, i
+        where[i], where[q] = r, j
+        # Column j trades i for q, and column r q for i.
+        columns[j - 1] ^= {i, q}
+        columns[r - 1] ^= {i, q}
+        for v, c in ((i, r), (q, j)):
+            if abs(v - c) > band:
+                heapq.heappush(heap, (-abs(v - c), v, c, k))
     else:
         raise RuntimeError("internal error: band normalization did not terminate")
 
+    out = LatinRectangle(rows=tuple(map(tuple, rows)))
     assert cost(C, out) <= cost(C, sol), "exchange increased cost"
     return out
 

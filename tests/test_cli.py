@@ -86,6 +86,23 @@ def test_gen_rejects_extra_blocks_past_int64_quickly(capsys):
     )
 
 
+# At a = 10, --extra-blocks 13 and 14 fail in the cost-range and cumulative
+# sum checks; 15 is refused at the layer-2 spike 10 * a^18 before any tier
+# is built.
+EXTRA_BLOCKS_ERRORS = {
+    13: "cost entries up to 1250012960000003033 in absolute value overflow int64 "
+        "sums: need max(4, n*p) * max|c| < 2^63 (n=36, p=3)",
+    14: "cumulative density sum 13144458884444447793 exceeds signed 64-bit range",
+    15: "layer-2 spike 10*a^18 for a=10 too large for int64 entries",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(EXTRA_BLOCKS_ERRORS))
+def test_gen_extra_blocks_overflow_messages(extra, capsys):
+    assert main(["gen", "counterexample-ext", "--extra-blocks", str(extra)]) == 2
+    assert capsys.readouterr() == ("", f"error: {EXTRA_BLOCKS_ERRORS[extra]}\n")
+
+
 def test_solve_text_and_json(monge_file, capsys):
     assert main(["solve", "--input", str(monge_file), "--solver", "dp"]) == 0
     text = capsys.readouterr().out
