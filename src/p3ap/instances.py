@@ -140,18 +140,7 @@ def counterexample_density(params: CounterexampleParams = CounterexampleParams()
     tier vector (1,1,a,a,a,a^2,a^2,a^3,a^3,a^3) with spikes 10a at (4, 5)
     and 10a^3 at (9, 10); layer 3 is the constant a^a.
     """
-    a = params.a
-    n = 10
-    density = np.zeros((n, n, 3), dtype=np.int64)
-    density[:, :, 0] = 1
-    density[6, 6, 0] = 100
-    density[:, :, 1] = np.array(params.tier_vector)[None, :]
-    density[3, 4, 1] = 10 * a
-    density[8, 9, 1] = 10 * a**3
-    if n * n * a**a >= 2**62:
-        raise OverflowError(f"a^a for a={a} too large for 64-bit cost sums")
-    density[:, :, 2] = a**a
-    return density
+    return _extended_density(0, params)
 
 
 def gen_counterexample(params: CounterexampleParams = CounterexampleParams()) -> CostArray:
@@ -173,6 +162,7 @@ def _extended_density(extra: int, params: CounterexampleParams):
     sub-solution that the top layer then glues into a single block.
     """
     a = params.a
+    n = 10 + 2 * extra
     # a >= 10, so a^63 and up are past 2^63 without computing them.
     if 3 + extra >= 63 or a ** (3 + extra) >= 2**63:
         raise OverflowError(f"top tier a^{3 + extra} for a={a} too large for int64 entries")
@@ -180,7 +170,9 @@ def _extended_density(extra: int, params: CounterexampleParams):
         raise OverflowError(
             f"layer-2 spike 10*a^{3 + extra} for a={a} too large for int64 entries"
         )
-    n = 10 + 2 * extra
+    # Likewise a^a >= 10^a, past 2^62 from a = 19 on.
+    if a >= 19 or n * n * a**a >= 2**62:
+        raise OverflowError(f"a^a for a={a} too large for 64-bit cost sums")
     tiers = [1, 1, a, a, a]
     for t in range(2, 3 + extra):
         tiers += [a**t, a**t]
@@ -194,10 +186,7 @@ def _extended_density(extra: int, params: CounterexampleParams):
     density[:, :, 1] = np.array(tiers, dtype=np.int64)[None, :]
     density[3, 4, 1] = 10 * a
     density[n - 2, n - 1, 1] = 10 * top
-    layer3 = a**a
-    if layer3 >= 2**62 or n * n * layer3 >= 2**62:
-        raise OverflowError(f"layer-3 constant too large for 64-bit cost sums")
-    density[:, :, 2] = layer3
+    density[:, :, 2] = a**a
     return density
 
 
@@ -207,8 +196,6 @@ def gen_counterexample_extended(
     """Tiered construction of side 10 + 2*extra with extra middle tier pairs."""
     if extra_middle_blocks < 0:
         raise ValueError("extra_middle_blocks must be nonnegative")
-    if extra_middle_blocks == 0:
-        return gen_counterexample(params)
     return build_distribution_array(_extended_density(extra_middle_blocks, params))
 
 

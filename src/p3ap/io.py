@@ -127,29 +127,25 @@ def _rows_text(plane: np.ndarray) -> list:
     return [fmt % tuple(row.tolist()) for row in plane]
 
 
-def format_instance(C: CostArray, header_comment: str = "") -> str:
-    out = []
-    if header_comment:
-        out.append(f"# {header_comment}")
-    out.append(f"{C.n} {C.p}")
-    for k in range(1, C.p + 1):
+def _format_tensor(entries: np.ndarray, header_comment: str, density: bool) -> str:
+    """Instance text of an (n, n, p) array, with the density marker if asked."""
+    n, _, p = entries.shape
+    out = [f"# {header_comment}"] if header_comment else []
+    out.append(f"{n} {p}")
+    if density:
+        out.append("density")
+    for k in range(p):
         out.append("")
-        out.extend(_rows_text(C.layer(k)))
+        out.extend(_rows_text(entries[:, :, k]))
     return "\n".join(out) + "\n"
+
+
+def format_instance(C: CostArray, header_comment: str = "") -> str:
+    return _format_tensor(C.entries, header_comment, density=False)
 
 
 def format_density(density: np.ndarray, header_comment: str = "") -> str:
-    d = np.asarray(density)
-    n, _, p = d.shape
-    out = []
-    if header_comment:
-        out.append(f"# {header_comment}")
-    out.append(f"{n} {p}")
-    out.append("density")
-    for k in range(p):
-        out.append("")
-        out.extend(_rows_text(d[:, :, k]))
-    return "\n".join(out) + "\n"
+    return _format_tensor(np.asarray(density), header_comment, density=True)
 
 
 def instance_to_json(C: CostArray) -> str:

@@ -23,7 +23,7 @@ from .monge import NotLayeredMongeError, is_layered_monge
 
 
 class OracleSizeLimitError(ValueError):
-    """Instance too large for exhaustive search; pass force=True to override."""
+    """Instance past a solver's size budget (CLI exit 3)."""
 
 
 class OptimaLimitError(OracleSizeLimitError):
@@ -60,8 +60,7 @@ class SolveReport:
 
 # Feasible p x n Latin rectangles, the leaves of the search, for every
 # (n, p) that brute force may enumerate.  Those past the budget, and any
-# (n, p) not listed, are refused unless forced: (8, 2) alone has 64x the
-# leaves of (7, 2).
+# (n, p) not listed, are refused: (8, 2) alone has 64x the leaves of (7, 2).
 _LATIN_RECTANGLES = {
     (1, 1): 1,
     (2, 1): 2, (2, 2): 2,
@@ -73,15 +72,11 @@ _LATIN_RECTANGLES = {
     (8, 1): 40320, (8, 2): 598066560, (8, 3): 2834466324480,
 }
 _MAX_BRUTEFORCE_RECTANGLES = 1 << 24
-# Table bytes that even a forced search may build: (8, 2) would need 1.6 GB.
-_MAX_TABLE_BYTES = 1 << 26
 # Prefix rectangles times permutations held at once by one block of the walk.
 _WALK_ENTRIES = 1 << 20
 
 
-def solve_bruteforce(
-    C: CostArray, all_optima: bool = False, force: bool = False
-) -> SolveReport:
+def solve_bruteforce(C: CostArray, all_optima: bool = False) -> SolveReport:
     """Exact optimum over every feasible Latin rectangle, for any cost array.
 
     The rows of a rectangle are permutations: the table of all n! of them,
@@ -93,27 +88,20 @@ def solve_bruteforce(
     search, whose first optimum is the witness, whose order all_optima keeps
     and whose node count, dead-end partial rows included, is states_explored.
 
-    Unless force=True, raises OracleSizeLimitError (CLI exit 3) past 2^24
-    feasible Latin rectangles: it admits any p for n <= 5, p <= 3 for
-    n = 6, p <= 2 for n = 7 and p = 1 for n = 8.  Even when forced it
-    refuses tables of more than 2^26 bytes, such as (8, 2); with all_optima
-    it raises OptimaLimitError past 2^24 listed cells.
+    Raises OracleSizeLimitError (CLI exit 3) past 2^24 feasible Latin
+    rectangles: it admits any p for n <= 5, p <= 3 for n = 6, p <= 2 for
+    n = 7 and p = 1 for n = 8.  The largest tables admitted are those of
+    (7, 2), 5040 * 7 + 5040^2 bytes (25.4 MB).  With all_optima it raises
+    OptimaLimitError past 2^24 listed cells.
     """
     n, p = C.n, C.p
-    if not force and _LATIN_RECTANGLES.get((n, p), math.inf) > _MAX_BRUTEFORCE_RECTANGLES:
+    if _LATIN_RECTANGLES.get((n, p), math.inf) > _MAX_BRUTEFORCE_RECTANGLES:
         raise OracleSizeLimitError(
             f"oracle size limit: n={n}, p={p} exceeds the exhaustive-search "
             "budget of 2^24 feasible Latin rectangles (any p for n <= 5, "
-            "p <= 3 for n = 6, p <= 2 for n = 7, p = 1 for n = 8); pass "
-            "force=True to override"
+            "p <= 3 for n = 6, p <= 2 for n = 7, p = 1 for n = 8)"
         )
     N = math.factorial(n)
-    table_bytes = N * n + (N * N if p > 1 else 0)
-    if table_bytes > _MAX_TABLE_BYTES:
-        raise OracleSizeLimitError(
-            f"oracle size limit: n={n}, p={p} needs {table_bytes} bytes of "
-            "permutation and first-conflict tables, more than 2^26"
-        )
     t0 = time.perf_counter()
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     # price[k, a]: the cost of permutation a as the row of layer k.
@@ -166,7 +154,6 @@ def solve_bruteforce(
 def solve_dp(
     C: CostArray,
     all_optima_in_band: bool = False,
-    force: bool = False,
     method: str = "auto",
 ) -> SolveReport:
     """Banded dynamic program; exact for layered Monge cost arrays.
@@ -202,10 +189,10 @@ def solve_dp(
     cells.
     """
     n, p = C.n, C.p
-    if not force and not is_layered_monge(C):
+    if not is_layered_monge(C):
         raise NotLayeredMongeError(
             "instance is not layered Monge; solve_dp is only exact on layered "
-            "Monge arrays (pass force=True to run anyway)"
+            "Monge arrays"
         )
     if method == "auto":
         engine = _solve_dp_graph

@@ -103,6 +103,26 @@ def test_gen_extra_blocks_overflow_messages(extra, capsys):
     assert capsys.readouterr() == ("", f"error: {EXTRA_BLOCKS_ERRORS[extra]}\n")
 
 
+# --a-scale 972000 passes the layer-2 spike check, 10 * a^3 < 2^63, so the
+# constant a^a is refused, without computing a^a's 5.8 million digits; at
+# 1000000 the spike is.
+A_SCALE_ERRORS = {
+    "counterexample --a-scale 972000": "a^a for a=972000 too large for 64-bit cost sums",
+    "counterexample --a-scale 1000000":
+        "layer-2 spike 10*a^3 for a=1000000 too large for int64 entries",
+    "counterexample-ext --extra-blocks 1 --a-scale 15":
+        "a^a for a=15 too large for 64-bit cost sums",
+}
+
+
+@pytest.mark.parametrize("args", sorted(A_SCALE_ERRORS))
+def test_gen_a_scale_overflow_refused_quickly(args, capsys):
+    t0 = time.perf_counter()
+    assert main(["gen", *args.split()]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr() == ("", f"error: {A_SCALE_ERRORS[args]}\n")
+
+
 def test_solve_text_and_json(monge_file, capsys):
     assert main(["solve", "--input", str(monge_file), "--solver", "dp"]) == 0
     text = capsys.readouterr().out

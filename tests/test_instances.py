@@ -132,3 +132,43 @@ def test_pp3ap_embedding_round_trip():
 def test_restrict_dropped_keeps_small_triples():
     rows = ((1, 3, 2, 4), (3, 1, 4, 2))
     assert restrict_dropped(rows, 2) == ((1, 0), (0, 1))
+
+
+def side10_counterexample_density(params: CounterexampleParams):
+    """The side-10 density as its own builder wrote it, before every side
+    went through one builder; kept as the oracle of that builder at side 10."""
+    a = params.a
+    n = 10
+    density = np.zeros((n, n, 3), dtype=np.int64)
+    density[:, :, 0] = 1
+    density[6, 6, 0] = 100
+    density[:, :, 1] = np.array(params.tier_vector)[None, :]
+    density[3, 4, 1] = 10 * a
+    density[8, 9, 1] = 10 * a**3
+    if n * n * a**a >= 2**62:
+        raise OverflowError(f"a^a for a={a} too large for 64-bit cost sums")
+    density[:, :, 2] = a**a
+    return density
+
+
+# a = 10 to 14 build; from 15 on a^a overflows, and at 10^6 the oracle's
+# numpy assignment of the layer-2 spike 10 * a^3 does too.
+@pytest.mark.parametrize("a", [10, 11, 12, 13, 14, 15, 100, 10**6])
+def test_counterexample_density_matches_side10_oracle(a):
+    params = CounterexampleParams(a=a)
+    try:
+        want = side10_counterexample_density(params)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            counterexample_density(params)
+        return
+    got = counterexample_density(params)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # At a = 14 both refuse the cost range of the summed array.
+    try:
+        side10 = gen_counterexample(params)
+    except ValueError as e:
+        with pytest.raises(type(e)):
+            gen_counterexample_extended(0, params)
+    else:
+        assert gen_counterexample_extended(0, params) == side10
