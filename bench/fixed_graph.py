@@ -37,7 +37,8 @@ import sys
 
 # (kind, p, n, processes, warm calls per process)
 GRID = [
-    ("dp", 3, 7, 3, 5), ("dp", 3, 20, 1, 2), ("dp", 3, 60, 1, 3), ("dp", 3, 200, 1, 1),
+    ("dp", 3, 7, 3, 5), ("dp", 3, 8, 3, 5), ("dp", 3, 20, 1, 2), ("dp", 3, 60, 1, 3),
+    ("dp", 3, 200, 1, 1),
     ("dp", 2, 500, 3, 5), ("dp", 2, 2000, 3, 5),
     ("dp", 5, 5, 3, 2), ("dp", 5, 7, 1, 0),
     ("ties", 2, 8, 3, 5), ("ties", 4, 5, 3, 2),

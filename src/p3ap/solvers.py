@@ -174,9 +174,12 @@ def solve_dp(
     process and cached.  A signature is one int64 word for p <= 4 and two or
     more from p = 5 (see _RowGraph).  A solve only adds costs along a row's
     edges and takes each target's minimum, in blocks of about 2^16 edges,
-    and keeps the row's incoming costs (see _keep).  From those the witness
-    takes each traced state's first minimal in-edge, and all_optima_in_band
-    finds the minimal in-edges of every row again.
+    and keeps the row's incoming costs (see _keep).  It gathers the costs
+    with np.take, as the array method, on the graph's int32 sources and
+    uint8/uint16 placements (uint32 from p = 5), and keeps no intp copy of
+    them.  From those costs the witness takes each traced state's first
+    minimal in-edge, and all_optima_in_band finds the minimal in-edges of
+    every row again.
     "reference" is the plain dict-based version, the test oracle.  Both
     retain states in increasing packed-signature order and break cost ties
     toward the earlier (predecessor order, then placement order) candidate,
@@ -284,7 +287,9 @@ class _RowGraph:
     lexsort on (src, words), most significant word last, gives increasing
     packed-signature order.  blocks cuts the targets into runs of whole
     in-edge segments of about _BLOCK_EDGES edges, each with the views and
-    block-local starts that the sweep reads.
+    block-local starts that the sweep reads.  src stays int32 and t the
+    smallest unsigned type that holds a placement (uint8 for p <= 2, uint16
+    for p = 3 and 4), since the sweep gathers through them with take.
     """
 
     def __init__(self, p: int, clip, in_sigs: np.ndarray):
@@ -392,7 +397,9 @@ class _RowGraph:
 
 # A row is swept in blocks of whole target segments of about this many
 # edges, so that its per-edge temporaries stay in cache; a graph's sorted
-# keys are decoded and compared in chunks of the same size.
+# keys are decoded and compared in chunks of the same size.  With the
+# np.take gathers, warm p = 3 solves at n = 7 and n = 60 ran within noise of
+# each other from 2^14 to 2^18 (BENCH_take_gather.json).
 _BLOCK_EDGES = 1 << 16
 # A row whose incoming states times placements exceeds this is refused
 # before its edges are counted.  The largest p = 3 row has 145,500 x 504 =
@@ -454,9 +461,13 @@ def _solve_dp_graph(C: CostArray):
         delta = row_costs[i - 1, (base - 1) * p + g.flat].sum(axis=1)
         out = np.empty(g.starts.size, dtype=np.int64)
         for s0, s1, e0, src, t, starts, _ in g.blocks:
-            cand = costs[src]
-            cand += delta[t]
+            cand = costs.take(src)
+            cand += delta.take(t)
             out[s0:s1] = np.minimum.reduceat(cand, starts)
+            # Freed before the next block's gathers, which would otherwise
+            # place a second cand beside it: on a cold p = 3, n = 200 solve
+            # the heap then kept 17 MB more at its peak.
+            del cand
         kept.append((g, delta, _keep(costs)))
         costs = out
         sigs = g.sigs
@@ -474,7 +485,7 @@ def _solve_dp_graph(C: CostArray):
     for i, (g, delta, prev) in zip(range(n, 0, -1), kept[::-1]):
         e0 = int(g.starts[state])
         seg = np.s_[e0:e0 + g.counts[state]]
-        e = e0 + int(np.argmin(prev[g.src[seg]] + delta[g.t[seg]]))
+        e = e0 + int(np.argmin(prev.take(g.src[seg]) + delta.take(g.t[seg])))
         placements[i - 1] = [i - 2 * p + 2 + c for c in g.pls[g.t[e]]]
         state = int(g.src[e])
     return optimum, placements, state_counts, lambda: _list_optima(kept, n, p)
@@ -507,7 +518,7 @@ def _list_optima(kept, n: int, p: int) -> list:
     for g, delta, prev in kept:
         hit = []
         for _, _, e0, src, t, starts, counts in g.blocks:
-            cand = prev[src] + delta[t]
+            cand = prev.take(src) + delta.take(t)
             best = np.minimum.reduceat(cand, starts)
             hit.append(np.flatnonzero(cand == np.repeat(best, counts)) + e0)
         hit = np.concatenate(hit)

@@ -152,6 +152,22 @@ def test_row_graph_blocks_tile_the_targets(monkeypatch):
         assert (s_end, e_end) == (g.sigs.size, edges)
 
 
+@pytest.mark.parametrize("n, p", [(7, 3), (12, 2)])
+def test_sweep_reads_the_graphs_without_copying_them(monkeypatch, n, p):
+    # The sweep gathers with np.take on the graph's own narrow indices; a
+    # warm solve must neither widen them nor store copies next to them.
+    graphs = cached_graphs(monkeypatch, n, p)
+    held = {key: g.nbytes for key, g in graphs.items()}
+    solve_dp(gen_random_layered_monge(n, p, seed=1))
+    assert set(graphs) == set(held)
+    for key, g in graphs.items():
+        assert g.src.dtype == np.int32
+        assert g.t.dtype == np.min_scalar_type(len(g.pls) - 1)
+        for _, _, _, src, t, _, _ in g.blocks:
+            assert np.shares_memory(src, g.src) and np.shares_memory(t, g.t)
+        assert g.nbytes == held[key]
+
+
 REPORT_FIELDS = ("optimum", "solution", "all_optima", "optima_count",
                  "unique_in_band", "state_counts", "states_explored")
 
