@@ -95,6 +95,7 @@ def write_inputs(root: str):
     put("bad_token.txt", "2 1\n\n1 x\n3 4\n")
     put("not_utf8.txt", b"2 1\n\n1 2\n3 \xff\n", mode="wb")
     put("bad.json", '{"n": 2, "p": 1}')
+    put("density.txt", "2 1\ndensity\n\n1 2\n3 4\n")
 
     for n, p in ((3, 2), (4, 3), (5, 2), (6, 2), (6, 3), (7, 2), (12, 2), (40, 2)):
         rows = shifted_rows(n, p, n + p)
@@ -170,7 +171,7 @@ def commands() -> list:
                     add("solve", "--input", f"in/{name}", "--solver", solver,
                         *(["--all-optima"] if all_optima else []), fmt=fmt)
     for name in ("huge_3_1.txt", "empty.txt", "bad_header.txt", "truncated.txt",
-                 "bad_token.txt", "not_utf8.txt", "bad.json", "missing.txt"):
+                 "bad_token.txt", "not_utf8.txt", "bad.json", "missing.txt", "density.txt"):
         add("solve", "--input", f"in/{name}")
     add("solve")
 

@@ -3,10 +3,10 @@
     python bench/fixed_graph.py --side parent=../parent/src --side change=src \
         --out BENCH_one_engine.json
 
-Each grid point runs in fresh interpreter processes, one per repeat.  A
-process makes one call with an empty cache ("cold"), then further calls on
-instances of the same kind and (n, p) ("warm"), and reports CPU seconds per
-call and its own peak RSS.  The kinds of call are:
+Each grid point runs in fresh interpreter processes, one per repeat and
+side.  A process makes one call with an empty cache ("cold"), then further
+calls on instances of the same kind and (n, p) ("warm"), and reports CPU
+seconds per call and its own peak RSS.  The kinds of call are:
 
 - dp: solve_dp on gen_random_layered_monge, whose answer is the optimum or,
   when the DP refuses the instance, the refusal message;
@@ -15,14 +15,19 @@ call and its own peak RSS.  The kinds of call are:
 - normalize: band_normalize of a cyclically shifted random permutation on
   gen_random_layered_monge, as in perfbench's normalize-p2;
 - brute: solve_bruteforce on gen_random_layered_monge;
-- io: format_instance and then parse_instance of the text on
-  gen_random_layered_monge, the text I/O of the CLI's gen, solve and check.
+- io: format_instance, written to a file, then load_instance of that file
+  on gen_random_layered_monge, the text I/O of the CLI's gen, solve and
+  check; the write is not timed.
 
 Seeds do not depend on the side, and every side must return the same
 answers: optima, digests of the listed optima in order, or of the normalized
 rows, for brute also the witness and states_explored, and for io digests of
-the text and of the parsed array.  Sides alternate which runs first at each
-grid point.  A point with no warm calls reports warm_s as null.
+the text and of the parsed array.  A point's processes run side by side,
+repeat by repeat, and the side that leads alternates from one repeat to the
+next (parent, change, change, parent, ...): on a shared host the first of
+two back-to-back processes can run slower.  Points with one process per side
+alternate the leading side by grid index instead.  A point with no warm calls
+reports warm_s as null.
 """
 
 from __future__ import annotations
@@ -49,12 +54,12 @@ GRID = [
 ]
 
 CHILD = r"""
-import hashlib, json, resource, sys, time
+import hashlib, json, os, resource, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from p3ap import CostArray, LatinRectangle, band_normalize, solve_bruteforce, solve_dp
 from p3ap.instances import gen_random_layered_monge
-from p3ap.io import format_instance, parse_instance
+from p3ap.io import format_instance, load_instance
 from p3ap.monge import DecompositionTerms, apply_decomposable_shift
 from p3ap.solvers import OracleSizeLimitError
 kind = sys.argv[2]
@@ -94,8 +99,14 @@ def call(seed):
     if kind == "io":
         t0 = time.process_time()
         text = format_instance(C)
-        parsed, _ = parse_instance(text)
         t = time.process_time() - t0
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.txt")
+            with open(path, "w") as f:
+                f.write(text)
+            t0 = time.process_time()
+            parsed = load_instance(path)
+            t += time.process_time() - t0
         assert parsed == C
         return t, [sha(text.encode()), sha(parsed.entries.tobytes())]
     if kind == "brute":
@@ -119,25 +130,24 @@ print(json.dumps({"times": times, "answers": answers, "peak_rss_mb": rss}))
 """
 
 
-def run_point(src, kind, n, p, procs, warm):
-    cold, warm_times, rss, answers = [], [], [], []
-    for r in range(procs):
-        out = subprocess.run(
-            [sys.executable, "-c", CHILD, src, kind, str(n), str(p), str(warm), str(1000 * r)],
-            check=True, capture_output=True, text=True,
-            env={**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"},
-        )
-        doc = json.loads(out.stdout.strip().splitlines()[-1])
-        cold.append(doc["times"][0])
-        warm_times.extend(doc["times"][1:])
-        rss.append(doc["peak_rss_mb"])
-        answers.extend(doc["answers"])
+def run_process(src, kind, n, p, warm, r):
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, src, kind, str(n), str(p), str(warm), str(1000 * r)],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"},
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def summarize(docs):
+    cold = [doc["times"][0] for doc in docs]
+    warm_times = [t for doc in docs for t in doc["times"][1:]]
     return {
         "cold_s": round(statistics.median(cold), 4),
         "warm_s": round(statistics.median(warm_times), 4) if warm_times else None,
         "solves": {"cold": len(cold), "warm": len(warm_times)},
-        "peak_rss_mb": round(max(rss), 1),
-        "answers": answers,
+        "peak_rss_mb": round(max(doc["peak_rss_mb"] for doc in docs), 1),
+        "answers": [a for doc in docs for a in doc["answers"]],
     }
 
 
@@ -150,10 +160,14 @@ def main():
     sides = [s.split("=", 1) for s in args.side]
     results = []
     for idx, (kind, p, n, procs, warm) in enumerate(GRID):
-        order = sides if idx % 2 == 0 else sides[::-1]
+        docs = {label: [] for label, _ in sides}
+        for r in range(procs):
+            lead = (idx if procs == 1 else r) % 2
+            for label, src in sides[::-1] if lead else sides:
+                docs[label].append(run_process(os.path.abspath(src), kind, n, p, warm, r))
         point = {"kind": kind, "p": p, "n": n}
-        for label, src in order:
-            point[label] = run_point(os.path.abspath(src), kind, n, p, procs, warm)
+        for label, _ in sides:
+            point[label] = summarize(docs[label])
             print(f"{kind} p={p} n={n} {label}: {point[label]['cold_s']} s cold, "
                   f"{point[label]['warm_s']} s warm", file=sys.stderr)
         answers = {json.dumps(point[label].pop("answers")) for label, _ in sides}
@@ -164,7 +178,7 @@ def main():
         "what": "CPU seconds per call of solve_dp (dp), solve_dp with "
                 "all_optima_in_band (ties), band_normalize (normalize), "
                 "solve_bruteforce (brute) or format_instance then "
-                "parse_instance (io): cold "
+                "load_instance of the written file (io): cold "
                 "(first call in a fresh process) and warm (later calls of the "
                 "same kind, n and p)",
         "machine": {

@@ -127,11 +127,6 @@ class CounterexampleParams:
         if self.a < 10:
             raise ValueError(f"scale a must be at least 10, got {self.a}")
 
-    @property
-    def tier_vector(self) -> tuple:
-        a = self.a
-        return (1, 1, a, a, a, a * a, a * a, a**3, a**3, a**3)
-
 
 def counterexample_density(params: CounterexampleParams = CounterexampleParams()):
     """Density of the counterexample: returns a (10, 10, 3) nonnegative array.

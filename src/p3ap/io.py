@@ -1,8 +1,7 @@
-"""Text and JSON serialization of instances, densities and solutions.
+"""Text and JSON serialization of instances and solutions.
 
 Instance text format: a line "n p", then p blocks separated by blank lines,
 each block n lines of n space-separated integers (the k-plane, row by row).
-Density files carry an extra "density" marker line after the header.
 Solution text format: p lines of n space-separated integers (rectangle rows).
 A JSON solution holds its rows under "rows", or under "solution_rows" as in
 the report of `p3ap solve --format json`.
@@ -72,13 +71,8 @@ def _parse_tensor(rows: list, n: int, p: int) -> np.ndarray:
     return np.ascontiguousarray(flat.reshape(p, n, n).transpose(1, 2, 0))
 
 
-def parse_instance(text: str):
-    """Parse instance text; returns (CostArray-or-ndarray, is_density).
-
-    A "density" marker after the header flags a density file; its entries are
-    returned as a raw (n, n, p) array because densities need not satisfy the
-    p <= n instance constraint checks.
-    """
+def parse_instance(text: str) -> CostArray:
+    """Parse instance text into a CostArray."""
     lines = _tokens(text)
     try:
         header = next(lines)
@@ -94,15 +88,10 @@ def parse_instance(text: str):
     if n < 1 or p < 1:
         raise FormatError(f"header must have n, p >= 1, got n={n}, p={p}")
     rest = list(lines)
-    is_density = bool(rest) and rest[0] == "density"
-    if is_density:
-        rest = rest[1:]
     entries = _parse_tensor(rest, n, p)
     if len(rest) > n * p:
         raise FormatError(f"header '{n} {p}' announces {n * p} rows, got {len(rest)}")
-    if is_density:
-        return entries, True
-    return CostArray(entries), False
+    return CostArray(entries)
 
 
 def load_instance(path) -> CostArray:
@@ -110,10 +99,7 @@ def load_instance(path) -> CostArray:
         text = f.read()
     if text.lstrip().startswith("{"):
         return instance_from_json(text)
-    parsed, is_density = parse_instance(text)
-    if is_density:
-        raise FormatError(f"{path} is a density file, not a cost instance")
-    return parsed
+    return parse_instance(text)
 
 
 def _rows_text(plane: np.ndarray) -> list:
@@ -127,25 +113,13 @@ def _rows_text(plane: np.ndarray) -> list:
     return [fmt % tuple(row.tolist()) for row in plane]
 
 
-def _format_tensor(entries: np.ndarray, header_comment: str, density: bool) -> str:
-    """Instance text of an (n, n, p) array, with the density marker if asked."""
-    n, _, p = entries.shape
-    out = [f"# {header_comment}"] if header_comment else []
-    out.append(f"{n} {p}")
-    if density:
-        out.append("density")
-    for k in range(p):
-        out.append("")
-        out.extend(_rows_text(entries[:, :, k]))
-    return "\n".join(out) + "\n"
-
-
 def format_instance(C: CostArray, header_comment: str = "") -> str:
-    return _format_tensor(C.entries, header_comment, density=False)
-
-
-def format_density(density: np.ndarray, header_comment: str = "") -> str:
-    return _format_tensor(np.asarray(density), header_comment, density=True)
+    out = [f"# {header_comment}"] if header_comment else []
+    out.append(f"{C.n} {C.p}")
+    for k in range(C.p):
+        out.append("")
+        out.extend(_rows_text(C.entries[:, :, k]))
+    return "\n".join(out) + "\n"
 
 
 def instance_to_json(C: CostArray) -> str:

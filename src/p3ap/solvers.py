@@ -9,7 +9,6 @@ bottom over a sliding window of 4p - 4 column signatures.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -200,7 +199,7 @@ def solve_dp(
     if method == "auto":
         engine = _solve_dp_graph
     elif method == "reference":
-        engine = functools.partial(_solve_dp_reference, all_optima=all_optima_in_band)
+        engine = _solve_dp_reference
     else:
         raise ValueError(f"unknown DP method {method!r}")
     t0 = time.perf_counter()
@@ -550,13 +549,14 @@ def _list_optima(kept, n: int, p: int) -> list:
     return optima
 
 
-def _solve_dp_reference(C: CostArray, all_optima: bool):
+def _solve_dp_reference(C: CostArray):
     n, p = C.n, C.p
     full = (1 << p) - 1
     width = 4 * p - 4
     cost_rows = _cost_rows(C)
 
-    # steps[i]: signature -> [cost, preds]; preds = [(prev_sig, placement), ...]
+    # steps[i]: signature -> [cost, preds]; preds = [(prev_sig, placement), ...],
+    # every candidate that ties at the minimum, in tie-break order.
     prev_states = {_init_sig(n, p): [0, []]}
     steps = [prev_states]
     state_counts = [1]
@@ -595,7 +595,7 @@ def _solve_dp_reference(C: CostArray, all_optima: bool):
                 elif total < entry[0]:
                     entry[0] = total
                     entry[1] = [(sig, placement)]
-                elif total == entry[0] and all_optima:
+                elif total == entry[0]:
                     entry[1].append((sig, placement))
         if not cur_states:
             raise RuntimeError(

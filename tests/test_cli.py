@@ -277,6 +277,8 @@ def test_module_entry_point(tmp_path):
         ("huge-header.txt", "200000 1\n0\n"),
         # All 100000 rows are there but short; once a 74.5 GiB allocation.
         ("short-rows.txt", "100000 1\n" + "0\n" * 100000),
+        # "density" after the header is a bad row, not a format marker.
+        ("density.txt", "2 1\ndensity\n\n1 2\n3 4\n"),
     ],
 )
 def test_unreadable_instance_exit_code(tmp_path, capsys, name, text):

@@ -48,10 +48,6 @@ def test_layered_monge_dimension_check():
 def test_counterexample_params():
     with pytest.raises(ValueError):
         CounterexampleParams(a=9)
-    a = 10
-    assert CounterexampleParams().tier_vector == (
-        1, 1, a, a, a, a * a, a * a, a**3, a**3, a**3
-    )
 
 
 def test_counterexample_density_values():
@@ -142,7 +138,8 @@ def side10_counterexample_density(params: CounterexampleParams):
     density = np.zeros((n, n, 3), dtype=np.int64)
     density[:, :, 0] = 1
     density[6, 6, 0] = 100
-    density[:, :, 1] = np.array(params.tier_vector)[None, :]
+    tiers = (1, 1, a, a, a, a * a, a * a, a**3, a**3, a**3)
+    density[:, :, 1] = np.array(tiers)[None, :]
     density[3, 4, 1] = 10 * a
     density[8, 9, 1] = 10 * a**3
     if n * n * a**a >= 2**62:

@@ -1,4 +1,4 @@
-"""Text and JSON round trips for instances, densities, and solutions."""
+"""Text and JSON round trips for instances and solutions."""
 
 import json
 import random
@@ -10,7 +10,6 @@ from p3ap import CostArray, LatinRectangle
 from p3ap import io as p3ap_io
 from p3ap.io import (
     FormatError,
-    format_density,
     format_instance,
     format_solution,
     instance_from_json,
@@ -30,9 +29,7 @@ def sample_instance():
 
 def test_instance_text_roundtrip():
     C = sample_instance()
-    parsed, is_density = parse_instance(format_instance(C))
-    assert not is_density
-    assert parsed == C
+    assert parse_instance(format_instance(C)) == C
 
 
 def test_instance_text_layout():
@@ -51,16 +48,7 @@ def test_instance_text_layout():
 def test_comments_and_blank_lines_ignored():
     C = sample_instance()
     text = "# provenance line\n\n" + format_instance(C)
-    assert parse_instance(text)[0] == C
-
-
-def test_density_marker_roundtrip():
-    d = np.arange(8).reshape(2, 2, 2)
-    text = format_density(d)
-    assert text.splitlines()[1] == "density"
-    arr, is_density = parse_instance(text)
-    assert is_density
-    assert np.array_equal(arr, d)
+    assert parse_instance(text) == C
 
 
 def test_instance_json_roundtrip():
@@ -205,7 +193,7 @@ def fuzzed_body(rng):
     odd = rng.random() < 0.5
     lines = [f"{n} {p}"]
     if rng.random() < 0.15:
-        lines.append("density")
+        lines.append("density")  # a bad row, not a format marker
     rows = n * p + (rng.choice([-1, 1, 2]) if odd and rng.random() < 0.2 else 0)
     for r in range(max(rows, 0)):
         if r % n == 0:
@@ -227,11 +215,10 @@ def fuzzed_body(rng):
 
 def parse_outcome(text):
     try:
-        parsed, is_density = parse_instance(text)
+        entries = parse_instance(text).entries
     except ValueError as e:  # FormatError, DimensionError or CostRangeError
         return "error", type(e).__name__, str(e)
-    entries = parsed if is_density else parsed.entries
-    return "ok", is_density, entries.dtype.str, entries.flags.c_contiguous, entries.tolist()
+    return "ok", entries.dtype.str, entries.flags.c_contiguous, entries.tolist()
 
 
 def test_bulk_parse_matches_the_row_loop(monkeypatch):
