@@ -11,7 +11,9 @@ seconds per call and its own peak RSS.  The kinds of call are:
 - dp: solve_dp on gen_random_layered_monge, whose answer is the optimum or,
   when the DP refuses the instance, the refusal message;
 - ties: solve_dp with all_optima_in_band on the zero array, where every
-  in-band rectangle is optimal, with a seeded decomposable shift at p = 2;
+  in-band rectangle is optimal, with a seeded decomposable shift at p = 2,
+  whose answer is the optimum, the count and the listed optima or, when
+  there are too many to list, the refusal message;
 - normalize: band_normalize of a cyclically shifted random permutation on
   gen_random_layered_monge, as in perfbench's normalize-p2;
 - brute: solve_bruteforce on gen_random_layered_monge;
@@ -46,7 +48,7 @@ GRID = [
     ("dp", 3, 200, 1, 1),
     ("dp", 2, 500, 3, 5), ("dp", 2, 2000, 3, 5),
     ("dp", 5, 5, 3, 2), ("dp", 5, 7, 1, 0),
-    ("ties", 2, 8, 3, 5), ("ties", 4, 5, 3, 2),
+    ("ties", 2, 8, 3, 5), ("ties", 4, 5, 3, 2), ("ties", 3, 20, 1, 0),
     ("normalize", 2, 70, 3, 5), ("normalize", 2, 80, 3, 5),
     ("normalize", 2, 200, 3, 2), ("normalize", 3, 70, 3, 5),
     ("brute", 2, 6, 3, 2), ("brute", 3, 6, 1, 1), ("brute", 2, 7, 1, 0),
@@ -61,7 +63,7 @@ from p3ap import CostArray, LatinRectangle, band_normalize, solve_bruteforce, so
 from p3ap.instances import gen_random_layered_monge
 from p3ap.io import format_instance, load_instance
 from p3ap.monge import DecompositionTerms, apply_decomposable_shift
-from p3ap.solvers import OracleSizeLimitError
+from p3ap.solvers import OptimaLimitError, OracleSizeLimitError
 kind = sys.argv[2]
 n, p, warm, seed = map(int, sys.argv[3:7])
 
@@ -87,7 +89,10 @@ def call(seed):
     if kind == "ties":
         C = tied(seed)
         t0 = time.process_time()
-        r = solve_dp(C, all_optima_in_band=True)
+        try:
+            r = solve_dp(C, all_optima_in_band=True)
+        except OptimaLimitError as e:
+            return time.process_time() - t0, str(e)
         return time.process_time() - t0, [r.optimum, r.optima_count, digest(r.all_optima)]
     C = gen_random_layered_monge(n, p, seed=seed)
     if kind == "normalize":

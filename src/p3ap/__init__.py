@@ -29,7 +29,6 @@ from .structure import (
     swap,
 )
 from .instances import (
-    CounterexampleParams,
     gen_counterexample,
     gen_counterexample_extended,
     gen_p3ap_embedding,
@@ -62,7 +61,6 @@ __all__ = [
     "bandwidth",
     "block_decompose",
     "swap",
-    "CounterexampleParams",
     "gen_counterexample",
     "gen_counterexample_extended",
     "gen_p3ap_embedding",

@@ -97,12 +97,10 @@ def cmd_gen(args) -> int:
             C, p = instances.gen_pp3ap_embedding(C01)
             provenance = f"gen embed-pp3ap --input {args.input} (solve with p {p})"
         elif name == "counterexample":
-            C = instances.gen_counterexample(instances.CounterexampleParams(a=args.a_scale))
+            C = instances.gen_counterexample(args.a_scale)
             provenance = f"gen counterexample --a-scale {args.a_scale}"
         elif name == "counterexample-ext":
-            C = instances.gen_counterexample_extended(
-                args.extra_blocks, instances.CounterexampleParams(a=args.a_scale)
-            )
+            C = instances.gen_counterexample_extended(args.extra_blocks, args.a_scale)
             provenance = (
                 f"gen counterexample-ext --extra-blocks {args.extra_blocks} "
                 f"--a-scale {args.a_scale}"

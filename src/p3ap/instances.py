@@ -11,8 +11,6 @@ is a single full-width block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import CostArray, DimensionError
@@ -117,38 +115,28 @@ def restrict_dropped(sol_rows, n: int):
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class CounterexampleParams:
-    """Scale parameters of the single-block counterexample (n = 10, p = 3)."""
-
-    a: int = 10
-
-    def __post_init__(self):
-        if self.a < 10:
-            raise ValueError(f"scale a must be at least 10, got {self.a}")
-
-
-def counterexample_density(params: CounterexampleParams = CounterexampleParams()):
+def counterexample_density(a: int = 10):
     """Density of the counterexample: returns a (10, 10, 3) nonnegative array.
 
     Layer 1 is all ones with a spike 100 at (7, 7); layer 2 is the column
     tier vector (1,1,a,a,a,a^2,a^2,a^3,a^3,a^3) with spikes 10a at (4, 5)
-    and 10a^3 at (9, 10); layer 3 is the constant a^a.
+    and 10a^3 at (9, 10); layer 3 is the constant a^a.  The scale a must be
+    at least 10.
     """
-    return _extended_density(0, params)
+    return _extended_density(0, a)
 
 
-def gen_counterexample(params: CounterexampleParams = CounterexampleParams()) -> CostArray:
+def gen_counterexample(a: int = 10) -> CostArray:
     """10x10x3 distribution array from the tiered two-spike density.
 
     The construction aims at an optimum that is a single width-10 block
     (see COUNTEREXAMPLE_CANDIDATE_ROWS); whether it achieves that is
     checked by the acceptance tests, not assumed here.
     """
-    return build_distribution_array(counterexample_density(params))
+    return build_distribution_array(counterexample_density(a))
 
 
-def _extended_density(extra: int, params: CounterexampleParams):
+def _extended_density(extra: int, a: int):
     """Counterexample density stretched by `extra` middle 2-column blocks.
 
     The column tier vector grows to (1,1, a,a,a, a^2,a^2, ..., a^(2+extra) x2,
@@ -156,7 +144,10 @@ def _extended_density(extra: int, params: CounterexampleParams):
     each inserted tier pair contributes one more width-2 block to the 2-layer
     sub-solution that the top layer then glues into a single block.
     """
-    a = params.a
+    if a < 10:
+        raise ValueError(f"scale a must be at least 10, got {a}")
+    if extra < 0:
+        raise ValueError("extra_middle_blocks must be nonnegative")
     n = 10 + 2 * extra
     # a >= 10, so a^63 and up are past 2^63 without computing them.
     if 3 + extra >= 63 or a ** (3 + extra) >= 2**63:
@@ -185,13 +176,9 @@ def _extended_density(extra: int, params: CounterexampleParams):
     return density
 
 
-def gen_counterexample_extended(
-    extra_middle_blocks: int, params: CounterexampleParams = CounterexampleParams()
-) -> CostArray:
+def gen_counterexample_extended(extra_middle_blocks: int, a: int = 10) -> CostArray:
     """Tiered construction of side 10 + 2*extra with extra middle tier pairs."""
-    if extra_middle_blocks < 0:
-        raise ValueError("extra_middle_blocks must be nonnegative")
-    return build_distribution_array(_extended_density(extra_middle_blocks, params))
+    return build_distribution_array(_extended_density(extra_middle_blocks, a))
 
 
 # The single-block rectangle the tiered construction is designed to single

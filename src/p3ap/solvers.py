@@ -435,6 +435,10 @@ def _next_graph(prev: Optional[_RowGraph], p: int, clip, in_sigs: np.ndarray) ->
             g = _RowGraph(p, clip, in_sigs)
             held = sum(h.nbytes for h in _GRAPHS.values())
             if held + g.nbytes > _GRAPH_CACHE_BYTES:
+                # A graph can link to itself through next; unlinked, an
+                # evicted graph is freed without waiting for the cycle GC.
+                for h in _GRAPHS.values():
+                    h.next.clear()
                 _GRAPHS.clear()
             _GRAPHS[key] = g
         if prev is not None:
@@ -510,10 +514,13 @@ def _list_optima(kept, n: int, p: int) -> list:
     Each row's sweep runs again, block by block, over its kept (graph,
     delta, incoming costs) to find its minimal in-edges: those into state s
     are ties[i - 1] = (first, src, t) from first[s] to first[s + 1], in tie
-    order.  Paths grow breadth first from the final state 0, children
-    in tie order, which keeps the depth-first order; then a walk back through
-    the parents scatters the placements."""
-    ties = []
+    order.  The same pass counts forward, over those ties, the optimal paths
+    into every state: in int64 while a row's sums stay below 2^62, and in
+    exact Python ints after that.  The final state's count meets the listing
+    cap before anything is listed.  Paths grow breadth first from the final
+    state 0, children in tie order, which keeps the depth-first order; then a
+    walk back through the parents scatters the placements."""
+    ties, ways = [], np.ones(1, dtype=np.int64)
     for g, delta, prev in kept:
         hit = []
         for _, _, e0, src, t, starts, counts in g.blocks:
@@ -521,13 +528,14 @@ def _list_optima(kept, n: int, p: int) -> list:
             best = np.minimum.reduceat(cand, starts)
             hit.append(np.flatnonzero(cand == np.repeat(best, counts)) + e0)
         hit = np.concatenate(hit)
-        ties.append((np.append(np.searchsorted(hit, g.starts), hit.size), g.src[hit], g.t[hit]))
+        first = np.searchsorted(hit, g.starts)
+        src = g.src[hit]
+        if ways.dtype != object and int(ways.max()) * int(g.counts.max()) >> 62:
+            ways = ways.astype(object)
+        ways = np.add.reduceat(ways.take(src), first)
+        ties.append((np.append(first, hit.size), src, g.t[hit]))
 
-    def prevs(i, s):
-        first, src, _ = ties[i - 1]
-        return src[first[s]:first[s + 1]].tolist()
-
-    total = _count_optima(n, p, 0, prevs)
+    total = _check_optima(int(ways[0]), n, p)
     levels, state = [], np.array([0])
     for first, src, t in reversed(ties):
         lo = first[state]
@@ -619,7 +627,10 @@ def _solve_dp_reference(C: CostArray):
         return steps[i][sig][1]
 
     def list_optima():
-        _count_optima(n, p, final_sig, lambda i, sig: [prev for prev, _ in tied(i, sig)])
+        ways = dict.fromkeys(steps[0], 1)
+        for step in steps[1:]:
+            ways = {sig: sum(ways[prev] for prev, _ in preds) for sig, (_, preds) in step.items()}
+        _check_optima(ways[final_sig], n, p)
         return [_rect_from_placements(s, n, p) for s in _walk_optima(n, final_sig, tied)]
 
     # The first sequence depth first follows the first predecessors.
@@ -651,17 +662,8 @@ def _walk_optima(n, final_state, tied):
             stack.append(iter(tied(i - 1, prev)))
 
 
-def _count_optima(n, p, final_state, prevs) -> int:
-    """Exact count of optimal paths through prevs(i, state), the tied
-    predecessors of state in row i; OptimaLimitError past the listing cap."""
-    paths = {final_state: 1}
-    for i in range(n, 0, -1):
-        below: dict = {}
-        for state, count in paths.items():
-            for prev in prevs(i, state):
-                below[prev] = below.get(prev, 0) + count
-        paths = below
-    (total,) = paths.values()
+def _check_optima(total: int, n: int, p: int) -> int:
+    """total optimal rectangles, or OptimaLimitError past the listing cap."""
     if total * n * p > _MAX_LISTED_CELLS:
         raise OptimaLimitError(
             f"{total} optimal rectangles in the band: too many to list "

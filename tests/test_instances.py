@@ -8,7 +8,6 @@ from p3ap import CostArray, cost, solve_bruteforce
 from p3ap.core import DimensionError, LatinRectangle
 from p3ap.instances import (
     COUNTEREXAMPLE_CANDIDATE_ROWS,
-    CounterexampleParams,
     counterexample_density,
     gen_counterexample,
     gen_counterexample_extended,
@@ -47,7 +46,7 @@ def test_layered_monge_dimension_check():
 
 def test_counterexample_params():
     with pytest.raises(ValueError):
-        CounterexampleParams(a=9)
+        counterexample_density(a=9)
 
 
 def test_counterexample_density_values():
@@ -74,9 +73,9 @@ def test_counterexample_array_values():
 
 def test_counterexample_overflow_guard():
     with pytest.raises(OverflowError):
-        counterexample_density(CounterexampleParams(a=15))
+        counterexample_density(a=15)
     with pytest.raises(OverflowError):
-        gen_counterexample_extended(1, CounterexampleParams(a=15))
+        gen_counterexample_extended(1, a=15)
 
 
 def test_counterexample_extended_shapes():
@@ -130,10 +129,9 @@ def test_restrict_dropped_keeps_small_triples():
     assert restrict_dropped(rows, 2) == ((1, 0), (0, 1))
 
 
-def side10_counterexample_density(params: CounterexampleParams):
+def side10_counterexample_density(a: int):
     """The side-10 density as its own builder wrote it, before every side
     went through one builder; kept as the oracle of that builder at side 10."""
-    a = params.a
     n = 10
     density = np.zeros((n, n, 3), dtype=np.int64)
     density[:, :, 0] = 1
@@ -152,20 +150,19 @@ def side10_counterexample_density(params: CounterexampleParams):
 # numpy assignment of the layer-2 spike 10 * a^3 does too.
 @pytest.mark.parametrize("a", [10, 11, 12, 13, 14, 15, 100, 10**6])
 def test_counterexample_density_matches_side10_oracle(a):
-    params = CounterexampleParams(a=a)
     try:
-        want = side10_counterexample_density(params)
+        want = side10_counterexample_density(a)
     except OverflowError:
         with pytest.raises(OverflowError):
-            counterexample_density(params)
+            counterexample_density(a)
         return
-    got = counterexample_density(params)
+    got = counterexample_density(a)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     # At a = 14 both refuse the cost range of the summed array.
     try:
-        side10 = gen_counterexample(params)
+        side10 = gen_counterexample(a)
     except ValueError as e:
         with pytest.raises(type(e)):
-            gen_counterexample_extended(0, params)
+            gen_counterexample_extended(0, a)
     else:
-        assert gen_counterexample_extended(0, params) == side10
+        assert gen_counterexample_extended(0, a) == side10

@@ -1,8 +1,10 @@
 """Brute-force oracle and banded DP: agreement, limits, and state semantics."""
 
+import gc
 import itertools
 import time
 import tracemalloc
+import weakref
 from typing import List
 
 import numpy as np
@@ -338,6 +340,30 @@ def test_dp_graph_cache_size_constant_in_n():
     assert len(solvers._GRAPHS) == counts[1]
 
 
+def test_evicted_graphs_are_freed_without_the_cycle_collector(monkeypatch):
+    # An interior graph links to itself through next; eviction must unlink it.
+    built = []
+
+    class Tracked(solvers._RowGraph):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(solvers, "_RowGraph", Tracked)
+    monkeypatch.setattr(solvers, "_GRAPHS", {})
+    monkeypatch.setattr(solvers, "_GRAPH_CACHE_BYTES", 0)
+    gc.collect()
+    gc.disable()
+    try:
+        solve_dp(gen_random_layered_monge(12, 2, seed=0))
+        cached = list(solvers._GRAPHS.values())
+        alive = [g for g in (ref() for ref in built) if g is not None and g not in cached]
+    finally:
+        gc.enable()
+    assert len(built) > len(cached) == 1
+    assert alive == []
+
+
 def test_dp_method_choices():
     C = gen_random_layered_monge(4, 2, seed=0)
     assert solve_dp(C, method="reference").optimum == solve_dp(C).optimum
@@ -361,6 +387,29 @@ def test_dp_all_optima_limit():
     for method in ("auto", "reference"):
         with pytest.raises(OptimaLimitError, match="425492887034560669286400 optimal"):
             solve_dp(C, all_optima_in_band=True, method=method)
+
+
+# Exact counts of the in-band optima of zero arrays (n, 2).  The graph
+# engine's counts stay in int64 at n = 20 and pass 2^62 partway at n = 40
+# and 60.
+@pytest.mark.parametrize("n, count", [
+    (12, 8524922),
+    (20, 1380537398014),
+    (30, 4484945273952693742),
+    (40, 14570215319349516960761738),
+    (60, 153774248571643612086296705331635628716),
+])
+def test_both_engines_refuse_a_tied_array_with_the_same_count(n, count):
+    C = CostArray(np.zeros((n, n, 2), dtype=np.int64))
+    messages = []
+    for method in ("auto", "reference"):
+        with pytest.raises(OptimaLimitError) as e:
+            solve_dp(C, all_optima_in_band=True, method=method)
+        messages.append(str(e.value))
+    assert messages[0] == messages[1] == (
+        f"{count} optimal rectangles in the band: too many to list "
+        f"(limit 16777216 cells, n={n}, p=2)"
+    )
 
 
 def test_dp_all_optima_are_optimal_and_unique_flag():
