@@ -6,7 +6,9 @@
 Each grid point runs in fresh interpreter processes, one per repeat and
 side.  A process makes one call with an empty cache ("cold"), then further
 calls on instances of the same kind and (n, p) ("warm"), and reports CPU
-seconds per call and its own peak RSS.  The kinds of call are:
+seconds per call and its own peak RSS.  A point reports the median cold and
+warm times, the range of its cold times and the largest peak RSS over its
+processes.  The kinds of call are:
 
 - dp: solve_dp on gen_random_layered_monge, whose answer is the optimum or,
   when the DP refuses the instance, the refusal message;
@@ -44,7 +46,7 @@ import sys
 
 # (kind, p, n, processes, warm calls per process)
 GRID = [
-    ("dp", 3, 7, 3, 5), ("dp", 3, 8, 3, 5), ("dp", 3, 20, 1, 2), ("dp", 3, 60, 1, 3),
+    ("dp", 3, 7, 3, 5), ("dp", 3, 8, 3, 5), ("dp", 3, 20, 3, 2), ("dp", 3, 60, 1, 3),
     ("dp", 3, 200, 1, 1),
     ("dp", 2, 500, 3, 5), ("dp", 2, 2000, 3, 5),
     ("dp", 5, 5, 3, 2), ("dp", 5, 7, 1, 0),
@@ -149,6 +151,7 @@ def summarize(docs):
     warm_times = [t for doc in docs for t in doc["times"][1:]]
     return {
         "cold_s": round(statistics.median(cold), 4),
+        "cold_range": [round(min(cold), 4), round(max(cold), 4)],
         "warm_s": round(statistics.median(warm_times), 4) if warm_times else None,
         "solves": {"cold": len(cold), "warm": len(warm_times)},
         "peak_rss_mb": round(max(doc["peak_rss_mb"] for doc in docs), 1),

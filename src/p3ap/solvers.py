@@ -163,22 +163,22 @@ def solve_dp(
     (out-of-range slots count as virtually complete), keeping minimal cost.
 
     This function is the one driver: it times the solve, builds the witness
-    and the report, and lists the optima.  Two interchangeable engines
-    differ only in how they expand the rows.  Each returns the optimum, the
-    witness's placement per row, the per-row state counts and a function
-    that lists every optimal rectangle.  "auto" runs the fixed-graph engine,
-    for every p.  A row's states and transitions depend only on p, on how far
-    its window is clipped by the array's edges and on the incoming states,
-    never on the costs, so each row's transition graph is built once per
-    process and cached.  A signature is one int64 word for p <= 4 and two or
-    more from p = 5 (see _RowGraph).  A solve only adds costs along a row's
-    edges and takes each target's minimum, in blocks of about 2^16 edges,
-    and keeps the row's incoming costs (see _keep).  It gathers the costs
-    with np.take, as the array method, on the graph's int32 sources and
-    uint8/uint16 placements (uint32 from p = 5), and keeps no intp copy of
-    them.  From those costs the witness takes each traced state's first
-    minimal in-edge, and all_optima_in_band finds the minimal in-edges of
-    every row again.
+    and the report, and lists the optima.  Two interchangeable engines differ
+    only in how they expand the rows.  Each returns the optimum, the
+    witness's placement per row, the per-row state counts and a function that
+    lists every optimal rectangle.  "auto" runs the fixed-graph engine, for
+    every p.  A row's states and transitions depend only on p, on how far its
+    window is clipped by the array's edges and on the incoming states, never
+    on the costs, so each row's transition graph is built once per process
+    and cached, keyed by p, the clipping and the incoming signature bytes.  A
+    signature is one int64 word for p <= 4 and two or more from p = 5 (see
+    _RowGraph).  A solve only adds costs along a row's edges and takes each
+    target's minimum, in blocks of about 2^16 edges, and keeps the row's
+    incoming costs (see _keep).  It gathers the costs with np.take, as the
+    array method, on the graph's int32 sources and uint8/uint16 placements
+    (uint32 from p = 5), and keeps no intp copy of them.  From those costs
+    the witness takes each traced state's first minimal in-edge, and
+    all_optima_in_band finds the minimal in-edges of every row again.
     "reference" is the plain dict-based version, the test oracle.  Both
     retain states in increasing packed-signature order and break cost ties
     toward the earlier (predecessor order, then placement order) candidate,
@@ -273,7 +273,7 @@ class _RowGraph:
     target state; edges are sorted by (target signature, src), and for a
     given source and target the placement is unique, so this is also the
     tie-break order.  Target j owns the edges starts[j] .. starts[j] +
-    counts[j] - 1.  next maps the clipping of the following row to its graph.
+    counts[j] - 1.  sig_bytes, the bytes of sigs, keys the next row's graph.
 
     A signature is W int64 words, and sigs has shape (W, S): slot t goes in
     word t // cpw at bit p * (t % cpw), cpw = 63 // p.  W = 1 for p <= 4, the
@@ -317,8 +317,8 @@ class _RowGraph:
                 ok &= (ext[w] & add[w]) == 0
             return ok
 
-        sizes = [np.count_nonzero(fits(add)) for add in adds]
-        E = sum(sizes)
+        sels = [np.flatnonzero(fits(add)) for add in adds]
+        E = sum(map(len, sels))
         if not E:
             raise RuntimeError("internal error: no feasible band-limited extension")
         T = len(self.pls)
@@ -333,8 +333,9 @@ class _RowGraph:
             src = np.empty(E, dtype=np.int32)
             t = np.empty(E, dtype=t_type)
         o = 0
-        for ti, (add, size) in enumerate(zip(adds, sizes)):
-            sel = np.flatnonzero(fits(add))
+        for ti, add in enumerate(adds):
+            sel, sels[ti] = sels[ti], None  # freed once its keys are written
+            size = sel.size
             part = key[:, o:o + size]
             moved = np.take(ext, sel, axis=1)
             moved |= add[:, None]
@@ -391,7 +392,7 @@ class _RowGraph:
                     (s0, s1, e0, src[e0:e1], t[e0:e1], local, self.counts[s0:s1])
                 )
         self.nbytes = sum(a.nbytes for a in held)
-        self.next: dict = {}
+        self.sig_bytes = self.sigs.tobytes()
 
 
 # A row is swept in blocks of whole target segments of about this many
@@ -418,31 +419,26 @@ def _check_row_size(n: int, p: int, i: int, states: int, clip) -> None:
         )
 
 
-# Row graphs keyed by (p, clipping, incoming signatures).  Interior rows of
-# every instance with the same p share one graph, so the cache stays small:
-# all graphs of p = 3 hold about 16.9 M edges and 114 MiB.  Past
-# _GRAPH_CACHE_BYTES it is emptied before the next insertion.
+# Row graphs keyed by (p, clipping, incoming signature bytes): the previous
+# graph's sig_bytes.  Interior rows of every instance with the same p share
+# one graph, so the cache stays small: all graphs of p = 3 hold about 16.9 M
+# edges and 114 MiB.  Past _GRAPH_CACHE_BYTES it is emptied before the next
+# insertion; no graph refers to another, so the evicted ones are freed.
 _GRAPH_CACHE_BYTES = 256 << 20
 _GRAPHS: dict = {}
 
 
 def _next_graph(prev: Optional[_RowGraph], p: int, clip, in_sigs: np.ndarray) -> _RowGraph:
-    g = prev.next.get(clip) if prev is not None else None
+    key = (p, clip, in_sigs.tobytes() if prev is None else prev.sig_bytes)
+    g = _GRAPHS.get(key)
     if g is None:
-        key = (p, clip, in_sigs.tobytes())
-        g = _GRAPHS.get(key)
-        if g is None:
-            g = _RowGraph(p, clip, in_sigs)
-            held = sum(h.nbytes for h in _GRAPHS.values())
-            if held + g.nbytes > _GRAPH_CACHE_BYTES:
-                # A graph can link to itself through next; unlinked, an
-                # evicted graph is freed without waiting for the cycle GC.
-                for h in _GRAPHS.values():
-                    h.next.clear()
-                _GRAPHS.clear()
-            _GRAPHS[key] = g
-        if prev is not None:
-            prev.next[clip] = g
+        g = _RowGraph(p, clip, in_sigs)
+        if g.sig_bytes == key[2]:
+            # As for the interior graphs: the next lookup compares by identity.
+            g.sig_bytes = key[2]
+        if sum(h.nbytes for h in _GRAPHS.values()) + g.nbytes > _GRAPH_CACHE_BYTES:
+            _GRAPHS.clear()
+        _GRAPHS[key] = g
     return g
 
 

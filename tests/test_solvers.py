@@ -338,10 +338,20 @@ def test_dp_graph_cache_size_constant_in_n():
     # n = 50 reuses every graph of n = 30 and needs no other
     solve_dp(gen_random_layered_monge(30, 2, seed=1))
     assert len(solvers._GRAPHS) == counts[1]
+    # At p = 3, n = 12 builds every graph, the interior ones included, and
+    # the longer runs of the interior graph at n = 20 and 60 find it again.
+    solvers._GRAPHS.clear()
+    for n in (12, 20, 60):
+        solve_dp(gen_random_layered_monge(n, 3, seed=n))
+        assert len(solvers._GRAPHS) == 12, n
+    # The graph whose signatures are its key's keeps the key's bytes, so the
+    # next row's lookup compares them by identity.
+    assert sum(g.sig_bytes is key[2] for key, g in solvers._GRAPHS.items()) == 1
+    solvers._GRAPHS.clear()  # frees the 114 MiB of p = 3 graphs
 
 
 def test_evicted_graphs_are_freed_without_the_cycle_collector(monkeypatch):
-    # An interior graph links to itself through next; eviction must unlink it.
+    # No graph refers to another, so an evicted graph is freed at once.
     built = []
 
     class Tracked(solvers._RowGraph):
