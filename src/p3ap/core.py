@@ -109,6 +109,32 @@ class LatinRectangle:
                 yield (i, j, k)
 
 
+def _latin_rectangles(rows: np.ndarray) -> list:
+    """LatinRectangles of an (m, p, n) integer array, checked in bulk.
+
+    One numpy pass checks what the constructor checks of each rectangle:
+    every row, sorted, is 1..n and, for p > 1, no sorted column has equal
+    neighbours.  The rectangles then take their rows, tuples of Python ints,
+    without a second check.  If the bulk check fails, every rectangle is
+    built through the constructor, so the first bad one raises its usual
+    InfeasibleSolutionError."""
+    _, p, n = rows.shape
+    ok = 1 <= p <= n and (np.sort(rows, axis=2) == np.arange(1, n + 1)).all()
+    if ok and p > 1:
+        cols = np.sort(rows, axis=1)
+        ok = (cols[:, 1:] != cols[:, :-1]).all()
+    if not ok:
+        return [LatinRectangle(rows=r) for r in rows.tolist()]
+    new, put = object.__new__, object.__setattr__
+    rects = []
+    # zip over p references to one iterator groups the row tuples p at a time.
+    for r in zip(*[map(tuple, rows.reshape(-1, n).tolist())] * p):
+        rect = new(LatinRectangle)
+        put(rect, "rows", r)
+        rects.append(rect)
+    return rects
+
+
 @dataclass(frozen=True)
 class PartialLatinSquare:
     """n x n grid of layer labels; cells[i-1][j-1] = k (or 0 for empty)."""

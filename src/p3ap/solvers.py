@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import CostArray, LatinRectangle
+from .core import CostArray, LatinRectangle, _latin_rectangles
 from .monge import NotLayeredMongeError, is_layered_monge
 
 
@@ -86,6 +86,8 @@ def solve_bruteforce(C: CostArray, all_optima: bool = False) -> SolveReport:
     it is n.  So it visits rectangles in the order of a row-by-row depth-first
     search, whose first optimum is the witness, whose order all_optima keeps
     and whose node count, dead-end partial rows included, is states_explored.
+    The optima's rows are checked in one numpy pass (_latin_rectangles)
+    before they become rectangles.
 
     Raises OracleSizeLimitError (CLI exit 3) past 2^24 feasible Latin
     rectangles: it admits any p for n <= 5, p <= 3 for n = 6, p <= 2 for
@@ -140,7 +142,7 @@ def solve_bruteforce(C: CostArray, all_optima: bool = False) -> SolveReport:
             f"{count} optimal rectangles: too many to list "
             f"(limit {_MAX_LISTED_CELLS} cells, n={n}, p={p})"
         )
-    rects = [LatinRectangle(rows=r) for r in (perms[np.concatenate(ties)] + 1).tolist()]
+    rects = _latin_rectangles(perms[np.concatenate(ties)] + 1)
     return SolveReport(
         optimum=int(best), solution=rects[0], solver="brute",
         states_explored=int(reach[n]) + below // step,
@@ -510,26 +512,34 @@ def _list_optima(kept, n: int, p: int) -> list:
     Each row's sweep runs again, block by block, over its kept (graph,
     delta, incoming costs) to find its minimal in-edges: those into state s
     are ties[i - 1] = (first, src, t) from first[s] to first[s + 1], in tie
-    order.  The same pass counts forward, over those ties, the optimal paths
-    into every state: in int64 while a row's sums stay below 2^62, and in
-    exact Python ints after that.  The final state's count meets the listing
-    cap before anything is listed.  Paths grow breadth first from the final
-    state 0, children in tie order, which keeps the depth-first order; then a
-    walk back through the parents scatters the placements."""
+    order, where first is the running sum of the states' tie counts.  The
+    same pass counts forward, over those ties, the optimal paths into every
+    state: in int64 while a row's sums stay below 2^62, and in exact Python
+    ints after that.  The final state's count meets the listing cap before
+    anything is listed.  Paths grow breadth first from the final state 0,
+    children in tie order, which keeps the depth-first order; then a walk
+    back through the parents scatters the placements into the rows of up to
+    _LIST_CHUNK rectangles at a time, which _latin_rectangles checks in one
+    numpy pass per chunk."""
     ties, ways = [], np.ones(1, dtype=np.int64)
     for g, delta, prev in kept:
-        hit = []
+        hit, first = [], [[0]]
         for _, _, e0, src, t, starts, counts in g.blocks:
             cand = prev.take(src) + delta.take(t)
-            best = np.minimum.reduceat(cand, starts)
-            hit.append(np.flatnonzero(cand == np.repeat(best, counts)) + e0)
+            tie = cand == np.repeat(np.minimum.reduceat(cand, starts), counts)
+            hit.append(np.flatnonzero(tie) + e0)
+            first.append(np.add.reduceat(tie, starts, dtype=np.int32))
         hit = np.concatenate(hit)
-        first = np.searchsorted(hit, g.starts)
+        # first[s] to first[s + 1] are state s's ties: a running sum of the
+        # tie counts, each at least 1, so reduceat sums every state's range.
+        # A count is at most its state's in-degree, so the counts sum in
+        # int32, which runs faster than the int64 that numpy picks for bool.
+        first = np.cumsum(np.concatenate(first))
         src = g.src[hit]
         if ways.dtype != object and int(ways.max()) * int(g.counts.max()) >> 62:
             ways = ways.astype(object)
-        ways = np.add.reduceat(ways.take(src), first)
-        ties.append((np.append(first, hit.size), src, g.t[hit]))
+        ways = np.add.reduceat(ways.take(src), first[:-1])
+        ties.append((first, src, g.t[hit]))
 
     total = _check_optima(int(ways[0]), n, p)
     levels, state = [], np.array([0])
@@ -549,7 +559,7 @@ def _list_optima(kept, n: int, p: int) -> list:
             # flat = column offset * p + layer; the window starts at column i - 2p + 2.
             rows[path, layer, g.flat[t[at]] // p + (i - 2 * p + 1)] = i
             at = parent[at]
-        optima.extend(LatinRectangle(rows=r) for r in rows.tolist())
+        optima += _latin_rectangles(rows)
     return optima
 
 

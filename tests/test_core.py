@@ -20,6 +20,7 @@ from p3ap.core import (
     DimensionError,
     FeasibilityReport,
     InfeasibleSolutionError,
+    _latin_rectangles,
     cyclic_latin_square,
     latin_rows_violation,
 )
@@ -333,3 +334,46 @@ def test_rectangle_entries_become_ints():
     assert all(type(v) is int for row in rect.rows for v in row)
     mixed = LatinRectangle([[np.int64(1), 2], (np.int32(2), np.uint16(1))])
     assert all(type(v) is int for row in mixed.rows for v in row)
+
+
+def latin_rows_array(m, n, p, seed, dtype):
+    """m feasible p x n rectangles as an (m, p, n) array: the cyclic square
+    with its rows, columns and symbols relabeled, cut to p rows."""
+    rng = np.random.default_rng(seed)
+    square = np.array(cyclic_latin_square(n).rows)
+    out = []
+    for _ in range(m):
+        relabeled = rng.permutation(n)[square - 1] + 1
+        out.append(relabeled[rng.permutation(n)][:, rng.permutation(n)][:p])
+    return np.array(out, dtype=dtype)
+
+
+@pytest.mark.parametrize("n, p", [(6, 1), (6, 2), (5, 5)])
+def test_latin_rectangles_match_the_constructor(n, p):
+    for dtype in (np.uint8, np.int8, np.int64):
+        rows = latin_rows_array(30, n, p, seed=n * p, dtype=dtype)
+        rects = _latin_rectangles(rows)
+        built = [LatinRectangle(rows=r) for r in rows]
+        assert rects == built
+        assert list(map(hash, rects)) == list(map(hash, built))
+        for rect, r in zip(rects, rows.tolist()):
+            assert type(rect) is LatinRectangle and type(rect.rows) is tuple
+            assert all(type(row) is tuple for row in rect.rows)
+            assert all(type(v) is int for row in rect.rows for v in row)
+            assert rect.rows == tuple(map(tuple, r))
+
+
+@pytest.mark.parametrize("kind", ["row", "column", "zero"])
+def test_latin_rectangles_raise_the_constructor_message(kind):
+    rows = latin_rows_array(12, 5, 3, seed=3, dtype=np.uint8)
+    if kind == "row":  # row 2 of rectangle 7 repeats its first value
+        rows[7, 1, 4] = rows[7, 1, 0]
+    elif kind == "column":  # rows 1 and 3 of rectangle 7 are the same permutation
+        rows[7, 2] = rows[7, 0]
+    else:
+        rows[7, 0, 2] = 0
+    ok, message = latin_rows_violation(tuple(map(tuple, rows[7].tolist())))
+    assert not ok and message.startswith("column" if kind == "column" else "row")
+    with pytest.raises(InfeasibleSolutionError) as err:
+        _latin_rectangles(rows)
+    assert str(err.value) == message

@@ -14,6 +14,7 @@ from p3ap import (
     CostArray,
     LatinRectangle,
     build_distribution_array,
+    check_rows,
     cost,
     solve_auto,
     solve_bruteforce,
@@ -470,6 +471,19 @@ def test_bulk_listing_keeps_the_reference_order_on_ties(n, p, seed, count):
     assert a.all_optima == b.all_optima
     assert a.unique_in_band is b.unique_in_band is False
     assert a.solution == b.solution == a.all_optima[0]
+
+
+def test_listed_optima_pass_the_rectangle_checks():
+    # The solvers check their listed rectangles in bulk, not one by one:
+    # each must pass the one-by-one check on its raw rows.
+    C, _ = tied_instance(8, 2, None)
+    dp = solve_dp(C, all_optima_in_band=True).all_optima
+    zeros = CostArray(np.zeros((4, 4, 3), dtype=np.int64))
+    brute = solve_bruteforce(zeros, all_optima=True).all_optima
+    assert (len(dp), len(brute)) == (21252, 576)
+    for rect in dp + brute:
+        assert check_rows(rect.rows)
+        assert LatinRectangle(rows=rect.rows) == rect
 
 
 def test_dp_p5_matches_bruteforce():
