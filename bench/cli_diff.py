@@ -10,7 +10,8 @@ check, normalize and blocks, in text and JSON, half to stdout and half to
 an --output file.  The inputs are written here with numpy alone, so they do
 not depend on either side: random layered Monge arrays, zero arrays, 0-1
 arrays that are not Monge, feasible and infeasible solutions, solve-style
-JSON reports and malformed files.  The commands reach exits 0, 2 and 3.
+JSON reports and malformed files.  Some commands pass a flag that their
+command does not read.  The commands reach exits 0, 2 and 3.
 
 Each side runs in its own directory holding the same relative paths, so
 that paths in messages agree.  A command differs when its stdout, stderr,
@@ -199,6 +200,13 @@ def commands() -> list:
     add("normalize", "--solution", "in/sol_3_2.txt")
     add("blocks")
     add("blocks", "--input", "in/sol_5_2.txt", fmt="json")
+
+    # Flags that their command does not read.
+    add("gen", "counterexample", "--seed", "3")
+    add("gen", "random-monge", "--n", "4", "--p", "2", "--a-scale", "12")
+    add("gen", "embed-pp3ap", "--input", "in/01_2_2.txt", "--nonneg-variant")
+    add("blocks", "--solution", "in/sol_5_2.txt", fmt="json")
+    add("blocks", "--input", "in/sol_5_2.txt")
     return cmds
 
 

@@ -1,8 +1,8 @@
 """Command-line front end: generate, solve, check, normalize, blocks.
 
 Exit codes: 0 success, 2 input or feasibility error, 3 resource limit.
-Only gen is random, and all its randomness flows through its --seed;
-identical commands give identical output.
+Only gen random-monge is random, and all its randomness flows through its
+--seed; identical commands give identical output.
 """
 
 from __future__ import annotations
@@ -79,15 +79,14 @@ def _load_rectangle(path, C: CostArray = None) -> LatinRectangle:
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed
     name = args.generator
     # DimensionError is a ValueError, and a negative seed raises one in numpy.
     try:
         if name == "random-monge":
             if args.n is None or args.p is None:
                 raise CliError("random-monge needs --n and --p")
-            C = instances.gen_random_layered_monge(args.n, args.p, seed)
-            provenance = f"gen random-monge --n {args.n} --p {args.p} --seed {seed}"
+            C = instances.gen_random_layered_monge(args.n, args.p, args.seed)
+            provenance = f"gen random-monge --n {args.n} --p {args.p} --seed {args.seed}"
         elif name == "embed-p3ap":
             C01 = _load_instance(args.input)
             C, offset = instances.gen_p3ap_embedding(C01, nonneg=args.nonneg_variant)
@@ -99,14 +98,12 @@ def cmd_gen(args) -> int:
         elif name == "counterexample":
             C = instances.gen_counterexample(args.a_scale)
             provenance = f"gen counterexample --a-scale {args.a_scale}"
-        elif name == "counterexample-ext":
+        else:  # counterexample-ext
             C = instances.gen_counterexample_extended(args.extra_blocks, args.a_scale)
             provenance = (
                 f"gen counterexample-ext --extra-blocks {args.extra_blocks} "
                 f"--a-scale {args.a_scale}"
             )
-        else:
-            raise CliError(f"unknown generator {name!r}")
     except (ValueError, OverflowError) as e:
         raise CliError(str(e))
     if args.format == "json":
@@ -205,7 +202,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_blocks(args) -> int:
-    sol = _load_rectangle(args.solution or args.input)
+    sol = _load_rectangle(args.solution)
     partition = structure.block_decompose(sol)
     _write(json.dumps(partition.to_list()) + "\n", args.output)
     return EXIT_OK
@@ -219,30 +216,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--input", help="instance file (text or JSON)")
+    def common(sp, instance=True):
+        if instance:
+            sp.add_argument("--input", help="instance file (text or JSON)")
         sp.add_argument("--output", help="output file (default: stdout)")
         sp.add_argument("--format", choices=("text", "json"), default="text")
 
     sp = sub.add_parser("gen", help="generate an instance")
-    sp.add_argument(
-        "generator",
-        choices=(
-            "random-monge",
-            "embed-p3ap",
-            "embed-pp3ap",
-            "counterexample",
-            "counterexample-ext",
-        ),
-    )
-    common(sp)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--a-scale", type=int, default=10)
-    sp.add_argument("--extra-blocks", type=int, default=0)
-    sp.add_argument("--nonneg-variant", action="store_true")
     sp.set_defaults(func=cmd_gen)
+    gens = sp.add_subparsers(dest="generator", required=True)
+    g = gens.add_parser("random-monge")
+    common(g, instance=False)
+    g.add_argument("--n", type=int)
+    g.add_argument("--p", type=int)
+    g.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    g = gens.add_parser("embed-p3ap")
+    common(g)
+    g.add_argument("--nonneg-variant", action="store_true")
+    common(gens.add_parser("embed-pp3ap"))
+    g = gens.add_parser("counterexample")
+    common(g, instance=False)
+    g.add_argument("--a-scale", type=int, default=10)
+    g = gens.add_parser("counterexample-ext")
+    common(g, instance=False)
+    g.add_argument("--extra-blocks", type=int, default=0)
+    g.add_argument("--a-scale", type=int, default=10)
 
     sp = sub.add_parser("solve", help="solve an instance exactly")
     common(sp)
@@ -261,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_normalize)
 
     sp = sub.add_parser("blocks", help="block decomposition of a solution")
-    common(sp)
     sp.add_argument("--solution", help="solution file (text or JSON)")
+    sp.add_argument("--output", help="output file (default: stdout)")
     sp.set_defaults(func=cmd_blocks)
 
     return parser

@@ -33,7 +33,15 @@ class CostArray:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=np.int64)
+        raw = np.asarray(self.entries)
+        try:
+            with np.errstate(invalid="ignore"):  # NaN and infinities cast with a warning
+                a = raw.astype(np.int64, copy=False)
+        except OverflowError:  # Python ints past int64
+            raise CostRangeError("cost entries overflow int64") from None
+        # The cast must change no entry: no fraction, NaN, infinity or value past int64.
+        if raw.dtype.kind not in "bi" and not np.all((a == raw) & (raw < 2.0**63)):
+            raise ValueError(f"{raw.dtype} cost entries must be integers within int64")
         if a.ndim != 3 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected (n, n, p) tensor, got shape {a.shape}")
         n, _, p = a.shape

@@ -105,12 +105,9 @@ def apply_decomposable_shift(C: CostArray, terms: DecompositionTerms):
         )
     if p < n and np.any(A):
         raise ValueError("A-term valid only for p = n")
-    shifted = C.entries + A[:, :, None] + B[:, None, :] + D[None, :, :]
-    if p == n:
-        constant = int(A.sum()) + int(B.sum()) + int(D.sum())
-    else:
-        constant = int(B.sum()) + int(D.sum())
-    return CostArray(shifted), constant
+    shifted = _exact_sum(C.entries, A[:, :, None], B[:, None, :], D[None, :, :])
+    constant = sum(int(x.sum(dtype=object)) for x in ((A, B, D) if p == n else (B, D)))
+    return shifted, constant
 
 
 def make_triply_graded(C: CostArray, m: int = None) -> CostArray:
@@ -119,16 +116,23 @@ def make_triply_graded(C: CostArray, m: int = None) -> CostArray:
     m defaults to the entry spread max - min; any m at least the spread keeps
     the solution ranking unchanged (the added term is sum-decomposable).
     """
-    spread = int(C.entries.max()) - int(C.entries.min()) if C.entries.size else 0
+    spread = int(C.entries.max()) - int(C.entries.min())
     if m is None:
         m = spread
     elif m < spread:
         raise ValueError(f"m={m} below entry spread {spread}")
-    n, p = C.n, C.p
-    i = np.arange(1, n + 1)
-    k = np.arange(1, p + 1)
-    grade = (i[:, None, None] + i[None, :, None] + k[None, None, :]) * m
-    return CostArray(C.entries + grade)
+    grade = np.indices(C.entries.shape).sum(axis=0) + 3  # i + j + k, 1-based
+    if int(grade.max()) * m >= 2**63:  # the largest grade leaves int64
+        grade = grade.astype(object)
+    return _exact_sum(C.entries, grade * m)
+
+
+def _exact_sum(*parts) -> CostArray:
+    """The CostArray of the broadcast sum of parts, taken in Python ints where
+    int64 could wrap, so that an entry past int64 raises CostRangeError."""
+    if sum(max(int(x.max()), -int(x.min())) for x in parts) >= 2**63:
+        parts = [x.astype(object) for x in parts]
+    return CostArray(sum(parts))
 
 
 def is_triply_graded(C: CostArray, strict: bool = False) -> bool:

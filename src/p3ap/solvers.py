@@ -298,11 +298,11 @@ class _RowGraph:
         full = (1 << p) - 1
         width = 4 * p - 4
         W = in_sigs.shape[0]
-        # Placements as column offsets from the extended window's left edge
-        # (which leaves the window after this row), lexicographic as in
-        # _row_placements.
-        self.pls = list(itertools.permutations(range(lclip, width - rclip + 1), p))
-        self.flat = np.array([[c * p + k for k, c in enumerate(pl)] for pl in self.pls], np.intp)
+        # flat[t, k] = c * p + k: placement t, lexicographic as in
+        # _row_placements, puts layer k at column offset c from the extended
+        # window's left edge (which leaves the window after this row).
+        pls = itertools.permutations(range(lclip, width - rclip + 1), p)
+        self.flat = np.array(list(pls), np.intp).reshape(-1, p) * p + np.arange(p)
         # Extend each incoming window by its new right column, which counts
         # as complete when it lies off the array.
         right = _words([(full if rclip else 0) << (p * width)], p, width + 1)
@@ -310,8 +310,7 @@ class _RowGraph:
         # A placement fits when it hits no filled slot and, if the leaving
         # column (slot 0, in word 0) is in the array, completes it.
         lead = 0 if lclip else full
-        adds = _words([sum(1 << (p * c + k) for k, c in enumerate(pl)) for pl in self.pls],
-                      p, width + 1).T
+        adds = _words([sum(1 << x for x in pl) for pl in self.flat.tolist()], p, width + 1).T
 
         def fits(add):
             ok = (ext[0] & (add[0] | lead)) == (lead & ~add[0])
@@ -323,7 +322,7 @@ class _RowGraph:
         E = sum(map(len, sels))
         if not E:
             raise RuntimeError("internal error: no feasible band-limited extension")
-        T = len(self.pls)
+        T = len(self.flat)
         t_type = np.min_scalar_type(T - 1)
         src_bits = (in_sigs.shape[1] - 1).bit_length()
         t_bits = (T - 1).bit_length()
@@ -487,7 +486,7 @@ def _solve_dp_graph(C: CostArray):
         e0 = int(g.starts[state])
         seg = np.s_[e0:e0 + g.counts[state]]
         e = e0 + int(np.argmin(prev.take(g.src[seg]) + delta.take(g.t[seg])))
-        placements[i - 1] = [i - 2 * p + 2 + c for c in g.pls[g.t[e]]]
+        placements[i - 1] = (g.flat[g.t[e]] // p + (i - 2 * p + 2)).tolist()
         state = int(g.src[e])
     return optimum, placements, state_counts, lambda: _list_optima(kept, n, p)
 

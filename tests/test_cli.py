@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from p3ap import instances, io as p3ap_io
-from p3ap.cli import main
+from p3ap.cli import build_parser, main
 from p3ap.instances import gen_random_layered_monge
 
 
@@ -201,6 +201,62 @@ def test_solve_rejects_removed_flags(monge_file, capsys, flag):
         main(["solve", "--input", str(monge_file), *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Each command takes only the flags it reads; any other flag is refused.
+MISPLACED_FLAGS = [
+    ["gen", "counterexample", "--seed", "3"],
+    ["gen", "random-monge", "--n", "4", "--p", "2", "--a-scale", "12"],
+    ["gen", "embed-pp3ap", "--input", "{inst}", "--nonneg-variant"],
+    ["gen", "embed-p3ap", "--input", "{inst}", "--n", "4"],
+    ["gen", "counterexample-ext", "--p", "2"],
+    ["blocks", "--solution", "{sol}", "--format", "json"],
+    ["blocks", "--input", "{sol}"],
+]
+
+
+@pytest.mark.parametrize("args", MISPLACED_FLAGS, ids=" ".join)
+def test_flags_a_command_does_not_read_are_refused(args, monge_file, tmp_path, capsys):
+    sol = tmp_path / "sol.txt"
+    sol.write_text("1 2 3 4 5\n2 3 4 5 1\n")
+    out = tmp_path / "out.txt"
+    argv = [a.format(inst=monge_file, sol=sol) for a in args] + ["--output", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The flags each command reads, with a value to pass; every gen generator
+# also reads --output and --format.
+FLAG_VALUES = {"--n": ["4"], "--p": ["2"], "--seed": ["3"], "--input": ["in.txt"],
+               "--nonneg-variant": [], "--a-scale": ["12"], "--extra-blocks": ["1"],
+               "--output": ["out.txt"], "--format": ["json"], "--solution": ["sol.txt"]}
+COMMAND_FLAGS = {
+    "gen random-monge": {"--n", "--p", "--seed"},
+    "gen embed-p3ap": {"--input", "--nonneg-variant"},
+    "gen embed-pp3ap": {"--input"},
+    "gen counterexample": {"--a-scale"},
+    "gen counterexample-ext": {"--extra-blocks", "--a-scale"},
+    "blocks": {"--solution", "--output"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_exactly_the_flags_it_reads(command, capsys):
+    reads = COMMAND_FLAGS[command]
+    if command.startswith("gen "):
+        reads = reads | {"--output", "--format"}
+    for flag, value in FLAG_VALUES.items():
+        argv = [*command.split(), flag, *value]
+        if flag in reads:
+            build_parser().parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_normalize_requires_layered_monge(tmp_path, capsys):

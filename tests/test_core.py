@@ -93,6 +93,29 @@ def test_cost_array_rejects_entries_that_overflow_int64_sums():
         CostArray(np.full((2, 2, 1), -(2**63), dtype=np.int64))
 
 
+@pytest.mark.parametrize("entries", [
+    np.array([[[1.7]]]),
+    np.array([[[np.nan]]]),
+    np.array([[[np.inf]]]),
+    np.array([[[2.0**63]]]),
+    np.array([[[2**64 - 1]]], dtype=np.uint64),
+    np.array([[[2.5]]], dtype=object),
+], ids=repr)
+def test_cost_array_refuses_entries_that_int64_conversion_would_change(entries):
+    with pytest.raises(ValueError, match="must be integers within int64"):
+        CostArray(entries)
+
+
+def test_cost_array_converts_only_exact_entries():
+    # Bool, integral float and Python int entries convert exactly and are kept.
+    assert CostArray(np.ones((2, 2, 1), dtype=bool)) == CostArray(np.ones((2, 2, 1), np.int64))
+    assert CostArray(np.full((2, 2, 1), -3.0)).at(1, 2, 1) == -3
+    assert CostArray(np.array([[[2**40]]], dtype=object)).at(1, 1, 1) == 2**40
+    # A Python int past int64 is refused as out of range.
+    with pytest.raises(CostRangeError, match="overflow int64"):
+        CostArray(np.array([[[2**64]]], dtype=object))
+
+
 def test_cost_array_is_immutable():
     C = CostArray(np.zeros((2, 2, 1), dtype=np.int64))
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from p3ap import (
     is_monge_matrix,
     make_triply_graded,
 )
+from p3ap.core import CostRangeError
 from p3ap.instances import gen_random_layered_monge
 from p3ap.monge import is_triply_graded
 from p3ap.solvers import solve_bruteforce
@@ -199,6 +200,33 @@ def test_shift_invariance_random():
         for _ in range(3):
             sol = random_rectangle(n, p, pyrng)
             assert cost(shifted, sol) - cost(C, sol) == const
+
+
+def test_shift_refuses_sums_past_int64_and_keeps_exact_cancellation():
+    # In int64 these entries wrapped to -2 and the constant to -8.
+    C = CostArray(np.zeros((2, 2, 2), dtype=np.int64))
+    top = np.full((2, 2), 2**63 - 1)
+    terms = DecompositionTerms(A=np.zeros((2, 2)), B=top, D=top)
+    with pytest.raises(CostRangeError):
+        apply_decomposable_shift(C, terms)
+    # Terms past int64 in their sums that cancel exactly still shift.
+    terms = DecompositionTerms(A=top, B=-top, D=np.ones((2, 2)))
+    shifted, alpha = apply_decomposable_shift(C, terms)
+    assert shifted == CostArray(np.ones((2, 2, 2), dtype=np.int64)) and alpha == 4
+    # The constant sums in Python ints: moving every entry from -cap to cap
+    # moves a solution's cost by 8 * cap, which no int64 holds.
+    cap = (2**63 - 1) // 4
+    C = CostArray(np.full((2, 2, 2), -cap))
+    terms = DecompositionTerms(A=np.full((2, 2), 2 * cap), B=np.zeros((2, 2)), D=np.zeros((2, 2)))
+    shifted, alpha = apply_decomposable_shift(C, terms)
+    assert shifted == CostArray(np.full((2, 2, 2), cap)) and alpha == 8 * cap
+
+
+@pytest.mark.parametrize("m", [(2**64 + 2) // 3, 2**63, 2**70])
+def test_triply_graded_refuses_grades_past_int64(m):
+    # m = (2^64 + 2) // 3 once gave the entry (1 + 1 + 1) * m = 2^64 + 2 as 2.
+    with pytest.raises(CostRangeError):
+        make_triply_graded(CostArray(np.zeros((1, 1, 1), dtype=np.int64)), m=m)
 
 
 def test_triply_graded_constant_array():

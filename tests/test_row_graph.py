@@ -88,7 +88,6 @@ def test_row_graphs_match_concatenate_build(monkeypatch, n, p):
     assert graphs
     for (gp, clip, raw), g in graphs.items():
         want = ConcatRowGraph(gp, clip, np.frombuffer(raw, dtype=np.int64))
-        assert g.pls == want.pls
         for name in GRAPH_ARRAYS:
             a, b = getattr(g, name), getattr(want, name)
             if name == "sigs":
@@ -119,7 +118,6 @@ def test_multiword_row_graphs_match_a_python_int_build(monkeypatch, p):
         assert g.sigs.shape[0] == 2
         words = np.frombuffer(raw, dtype=np.int64).reshape(2, -1)
         want = ConcatRowGraph(gp, clip, packed_sigs(words, p))
-        assert g.pls == want.pls
         for name in GRAPH_ARRAYS:
             a, b = getattr(g, name), getattr(want, name)
             if name == "sigs":
@@ -164,7 +162,7 @@ def test_sweep_reads_the_graphs_without_copying_them(monkeypatch, n, p):
     assert set(graphs) == set(held)
     for key, g in graphs.items():
         assert g.src.dtype == np.int32
-        assert g.t.dtype == np.min_scalar_type(len(g.pls) - 1)
+        assert g.t.dtype == np.min_scalar_type(len(g.flat) - 1)
         for _, _, _, src, t, _, _ in g.blocks:
             assert np.shares_memory(src, g.src) and np.shares_memory(t, g.t)
         assert g.nbytes == held[key]
