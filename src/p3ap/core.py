@@ -9,6 +9,9 @@ filled cells carry layer labels 1..p.  All public indices are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
+from operator import eq
 from typing import Iterator, Union
 
 import numpy as np
@@ -26,6 +29,29 @@ class CostRangeError(ValueError):
     """Cost entries too large for exact int64 cost sums and Monge checks."""
 
 
+def _int64_entries(values, what: str) -> np.ndarray:
+    """values as an int64 array.  The cast must change no entry, so a
+    fraction, NaN, infinity, string or value past int64 raises ValueError
+    (CostRangeError for a Python int past int64)."""
+    raw = np.asarray(values)
+    if raw.dtype.kind in "bi":
+        return raw.astype(np.int64, copy=False)
+    message = f"{raw.dtype} {what} entries must be integers within int64"
+    if raw.dtype.kind not in "ufcO":  # strings, bytes, dates and records
+        raise ValueError(message)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN and infinities cast with a warning
+            a = raw.astype(np.int64, copy=False)
+        exact = np.all((a == raw) & (raw < 2.0**63))
+    except OverflowError:  # Python ints past int64
+        raise CostRangeError(f"{what} entries overflow int64") from None
+    except (TypeError, ValueError):  # objects that are not numbers
+        raise ValueError(message) from None
+    if not exact:
+        raise ValueError(message)
+    return a
+
+
 @dataclass(frozen=True)
 class CostArray:
     """n x n x p integer cost tensor; entries[i-1, j-1, k-1] is c_{ijk}."""
@@ -33,15 +59,7 @@ class CostArray:
     entries: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.entries)
-        try:
-            with np.errstate(invalid="ignore"):  # NaN and infinities cast with a warning
-                a = raw.astype(np.int64, copy=False)
-        except OverflowError:  # Python ints past int64
-            raise CostRangeError("cost entries overflow int64") from None
-        # The cast must change no entry: no fraction, NaN, infinity or value past int64.
-        if raw.dtype.kind not in "bi" and not np.all((a == raw) & (raw < 2.0**63)):
-            raise ValueError(f"{raw.dtype} cost entries must be integers within int64")
+        a = _int64_entries(self.entries, "cost")
         if a.ndim != 3 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"expected (n, n, p) tensor, got shape {a.shape}")
         n, _, p = a.shape
@@ -82,18 +100,19 @@ class CostArray:
         return hash((self.entries.shape, self.entries.tobytes()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatinRectangle:
     """p x n grid; rows[k-1][j-1] = i means layer k assigns row i to column j.
 
     Every row is a permutation of 1..n and every column holds distinct values
     (the Figure-style convention: the entry at (k, j) is the first index i).
+    The class is slotted: a rectangle holds its rows and no __dict__.
     """
 
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        rows = tuple([tuple(map(int, row)) for row in self.rows])
         object.__setattr__(self, "rows", rows)
         ok, why = latin_rows_violation(rows)
         if not ok:
@@ -123,8 +142,10 @@ def _latin_rectangles(rows: np.ndarray) -> list:
     One numpy pass checks what the constructor checks of each rectangle:
     every row, sorted, is 1..n and, for p > 1, no sorted column has equal
     neighbours.  The rectangles then take their rows, tuples of Python ints,
-    without a second check.  If the bulk check fails, every rectangle is
-    built through the constructor, so the first bad one raises its usual
+    without a second check.  Equal rows share one tuple within a call: a
+    lexsort of the m * p rows groups them, and each distinct row becomes a
+    tuple once.  If the bulk check fails, every rectangle is built through
+    the constructor, so the first bad one raises its usual
     InfeasibleSolutionError."""
     _, p, n = rows.shape
     ok = 1 <= p <= n and (np.sort(rows, axis=2) == np.arange(1, n + 1)).all()
@@ -133,10 +154,18 @@ def _latin_rectangles(rows: np.ndarray) -> list:
         ok = (cols[:, 1:] != cols[:, :-1]).all()
     if not ok:
         return [LatinRectangle(rows=r) for r in rows.tolist()]
+    flat = rows.reshape(-1, n)
+    order = np.lexsort(flat.T)  # equal rows end up next to each other
+    ranked = flat[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(len(ranked), dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    distinct = list(map(tuple, ranked[first].tolist()))
     new, put = object.__new__, object.__setattr__
     rects = []
     # zip over p references to one iterator groups the row tuples p at a time.
-    for r in zip(*[map(tuple, rows.reshape(-1, n).tolist())] * p):
+    for r in zip(*[map(distinct.__getitem__, which.tolist())] * p):
         rect = new(LatinRectangle)
         put(rect, "rows", r)
         rects.append(rect)
@@ -171,6 +200,16 @@ class PartialLatinSquare:
 Solution = Union[LatinRectangle, PartialLatinSquare]
 
 
+# Up to this many rows, comparing every pair of rows tests the columns
+# faster than one set per column; the pairs grow as p^2.
+_PAIRWISE_ROWS = 3
+
+
+@lru_cache(maxsize=16)
+def _one_to(n: int) -> frozenset:
+    return frozenset(range(1, n + 1))
+
+
 def latin_rows_violation(rows) -> tuple:
     """(ok, message) for the Latin rectangle invariants on raw row tuples."""
     if not rows:
@@ -181,8 +220,11 @@ def latin_rows_violation(rows) -> tuple:
     if len(rows) > n:
         return False, f"more rows ({len(rows)}) than columns ({n})"
     try:  # a valid rectangle passes in set operations; the loops name a violation
-        if (all(map(set(range(1, n + 1)).__eq__, map(set, rows)))
-                and min(map(len, map(set, zip(*rows)))) == len(rows)):
+        if all(map(_one_to(n).__eq__, map(set, rows))) and (
+            not any(any(map(eq, a, b)) for a, b in combinations(rows, 2))
+            if len(rows) <= _PAIRWISE_ROWS
+            else min(map(len, map(set, zip(*rows)))) == len(rows)
+        ):
             return True, ""
     except TypeError:  # unhashable entries, which the loops judge as before
         pass

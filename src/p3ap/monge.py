@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostArray, DimensionError
+from .core import CostArray, DimensionError, _int64_entries
 
 
 class NotLayeredMongeError(ValueError):
@@ -57,8 +57,10 @@ def is_monge_array(C: CostArray) -> bool:
 
 
 def build_distribution_array(density) -> CostArray:
-    """Negated triple prefix sums of a nonnegative density; always Monge."""
-    d = np.asarray(density, dtype=np.int64)
+    """Negated triple prefix sums of a nonnegative density; always Monge.
+
+    Density entries must be integers within int64, as cost entries must."""
+    d = _int64_entries(density, "density")
     if d.ndim != 3:
         raise DimensionError(f"density must be 3-dimensional, got shape {d.shape}")
     if d.min() < 0:
@@ -74,7 +76,10 @@ def build_distribution_array(density) -> CostArray:
 
 @dataclass(frozen=True)
 class DecompositionTerms:
-    """Additive terms a_{ij} + b_{ik} + d_{jk} of a sum-decomposable shift."""
+    """Additive terms a_{ij} + b_{ik} + d_{jk} of a sum-decomposable shift.
+
+    Each term becomes an int64 array; entries that the conversion would
+    change are refused, as cost entries are."""
 
     A: np.ndarray  # n x n
     B: np.ndarray  # n x p
@@ -82,8 +87,7 @@ class DecompositionTerms:
 
     def __post_init__(self):
         for name in ("A", "B", "D"):
-            m = np.asarray(getattr(self, name), dtype=np.int64)
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, _int64_entries(getattr(self, name), name))
 
     @classmethod
     def zeros(cls, n: int, p: int) -> "DecompositionTerms":

@@ -1,6 +1,9 @@
 """Data model: cost evaluation, representation conversions, feasibility."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -20,6 +23,7 @@ from p3ap.core import (
     DimensionError,
     FeasibilityReport,
     InfeasibleSolutionError,
+    _PAIRWISE_ROWS,
     _latin_rectangles,
     cyclic_latin_square,
     latin_rows_violation,
@@ -100,6 +104,11 @@ def test_cost_array_rejects_entries_that_overflow_int64_sums():
     np.array([[[2.0**63]]]),
     np.array([[[2**64 - 1]]], dtype=np.uint64),
     np.array([[[2.5]]], dtype=object),
+    np.array([[["3"]]]),
+    np.array([[[b"3"]]]),
+    np.array([[["3"]]], dtype=object),
+    np.array([[[None]]], dtype=object),
+    np.array([[[np.datetime64("2020-01-01")]]]),
 ], ids=repr)
 def test_cost_array_refuses_entries_that_int64_conversion_would_change(entries):
     with pytest.raises(ValueError, match="must be integers within int64"):
@@ -340,6 +349,16 @@ def test_latin_rows_violation_matches_loop_oracle():
             assert check_rows(odd) == FeasibilityReport(*expected)
     # Each kind of message occurs: no, rows, more, row, column.
     assert seen == {"no", "rows", "more", "row", "column"}
+    # Columns are compared pair by pair up to _PAIRWISE_ROWS rows and by one
+    # set per column above: both sides of the switch, and p = n, give the
+    # loops' verdict.
+    for n in range(_PAIRWISE_ROWS + 1, 10):
+        for p in {_PAIRWISE_ROWS, _PAIRWISE_ROWS + 1, n}:
+            for _ in range(40):
+                rows = random_latin_rows(n, p, rng)
+                assert latin_rows_violation(rows) == (True, "")
+                bad = mutated_rows(rows, rng)
+                assert latin_rows_violation(bad) == loop_latin_rows_violation(bad)
     assert check_rows([[[1], [2]]]) == FeasibilityReport(False, "row 1 is not a permutation of 1..2")
 
 
@@ -357,6 +376,17 @@ def test_rectangle_entries_become_ints():
     assert all(type(v) is int for row in rect.rows for v in row)
     mixed = LatinRectangle([[np.int64(1), 2], (np.int32(2), np.uint16(1))])
     assert all(type(v) is int for row in mixed.rows for v in row)
+
+
+def test_latin_rectangle_is_slotted_frozen_and_copyable():
+    for rect in (LatinRectangle(EXAMPLE_RECT), _latin_rectangles(np.array([EXAMPLE_RECT]))[0]):
+        assert not hasattr(rect, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rect.rows = EXAMPLE_RECT
+        for twin in (copy.copy(rect), copy.deepcopy(rect), pickle.loads(pickle.dumps(rect))):
+            assert type(twin) is LatinRectangle
+            assert twin == rect and hash(twin) == hash(rect)
+            assert twin.rows == EXAMPLE_RECT
 
 
 def latin_rows_array(m, n, p, seed, dtype):
@@ -384,6 +414,9 @@ def test_latin_rectangles_match_the_constructor(n, p):
             assert all(type(row) is tuple for row in rect.rows)
             assert all(type(v) is int for row in rect.rows for v in row)
             assert rect.rows == tuple(map(tuple, r))
+        # Equal rows share one tuple within the call.
+        distinct = {row for rect in rects for row in rect.rows}
+        assert len({id(row) for rect in rects for row in rect.rows}) == len(distinct)
 
 
 @pytest.mark.parametrize("kind", ["row", "column", "zero"])

@@ -149,6 +149,35 @@ def test_distribution_rejects_negative_density():
         build_distribution_array(d)
 
 
+# Entries that conversion to int64 would change, as CostArray refuses them.
+INEXACT = [0.5, np.nan, np.inf, 2.0**63, "1", np.uint64(2**64 - 1)]
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_distribution_rejects_inexact_density(bad):
+    with pytest.raises(ValueError, match="density entries must be integers within int64"):
+        build_distribution_array(np.full((2, 2, 1), bad))
+
+
+def test_distribution_converts_only_exact_density():
+    # Integral floats convert exactly and are kept; a Python int past int64 is
+    # refused as out of range.
+    ints = build_distribution_array(np.full((2, 2, 1), 2, dtype=np.int64))
+    assert build_distribution_array(np.full((2, 2, 1), 2.0)) == ints
+    with pytest.raises(CostRangeError, match="density entries overflow int64"):
+        build_distribution_array(np.full((2, 2, 1), 2**64, dtype=object))
+
+
+@pytest.mark.parametrize("name", ["A", "B", "D"])
+def test_decomposition_terms_reject_inexact_entries(name):
+    exact = {k: np.zeros((2, 2)) for k in "ABD"}
+    terms = DecompositionTerms(**exact)
+    assert all(getattr(terms, k).dtype == np.int64 for k in "ABD")
+    for bad in INEXACT:
+        with pytest.raises(ValueError, match=f"{name} entries must be integers within int64"):
+            DecompositionTerms(**{**exact, name: np.full((2, 2), bad)})
+
+
 def test_shift_all_zero_terms():
     C = CostArray(np.arange(8).reshape(2, 2, 2))
     shifted, const = apply_decomposable_shift(C, DecompositionTerms.zeros(2, 2))

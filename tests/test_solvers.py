@@ -21,6 +21,7 @@ from p3ap import (
     solve_dp,
 )
 from p3ap import solvers
+from p3ap.core import _latin_rectangles
 from p3ap.instances import gen_random_layered_monge, random_01_array
 from p3ap.monge import DecompositionTerms, apply_decomposable_shift
 from p3ap.solvers import (
@@ -483,7 +484,24 @@ def test_listed_optima_pass_the_rectangle_checks():
     assert (len(dp), len(brute)) == (21252, 576)
     for rect in dp + brute:
         assert check_rows(rect.rows)
-        assert LatinRectangle(rows=rect.rows) == rect
+        built = LatinRectangle(rows=rect.rows)
+        assert built == rect and hash(built) == hash(rect)
+
+
+def test_listed_optima_share_their_row_tuples():
+    # The 21,252 tied (8, 2) optima hold 400 distinct rows.  The engine lists
+    # them in chunks, and within each chunk every distinct row is one tuple.
+    C, _ = tied_instance(8, 2, None)
+    dp = solve_dp(C, all_optima_in_band=True).all_optima
+    assert len({row for rect in dp for row in rect.rows}) == 400
+    for a in range(0, len(dp), solvers._LIST_CHUNK):
+        chunk = dp[a : a + solvers._LIST_CHUNK]
+        rows = [row for rect in chunk for row in rect.rows]
+        assert len(set(map(id, rows))) == len(set(rows))
+    # One bulk call over the whole listing builds exactly 400 row tuples.
+    again = _latin_rectangles(np.array([rect.rows for rect in dp], dtype=np.uint8))
+    assert again == dp
+    assert len({id(row) for rect in again for row in rect.rows}) == 400
 
 
 def test_dp_p5_matches_bruteforce():
