@@ -9,9 +9,6 @@ filled cells carry layer labels 1..p.  All public indices are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from operator import eq
 from typing import Iterator, Union
 
 import numpy as np
@@ -31,13 +28,13 @@ class CostRangeError(ValueError):
 
 def _int64_entries(values, what: str) -> np.ndarray:
     """values as an int64 array.  The cast must change no entry, so a
-    fraction, NaN, infinity, string or value past int64 raises ValueError
-    (CostRangeError for a Python int past int64)."""
+    fraction, complex value, NaN, infinity, string or value past int64
+    raises ValueError (CostRangeError for a Python int past int64)."""
     raw = np.asarray(values)
     if raw.dtype.kind in "bi":
         return raw.astype(np.int64, copy=False)
     message = f"{raw.dtype} {what} entries must be integers within int64"
-    if raw.dtype.kind not in "ufcO":  # strings, bytes, dates and records
+    if raw.dtype.kind not in "ufO":  # complex, strings, bytes, dates and records
         raise ValueError(message)
     try:
         with np.errstate(invalid="ignore"):  # NaN and infinities cast with a warning
@@ -200,16 +197,6 @@ class PartialLatinSquare:
 Solution = Union[LatinRectangle, PartialLatinSquare]
 
 
-# Up to this many rows, comparing every pair of rows tests the columns
-# faster than one set per column; the pairs grow as p^2.
-_PAIRWISE_ROWS = 3
-
-
-@lru_cache(maxsize=16)
-def _one_to(n: int) -> frozenset:
-    return frozenset(range(1, n + 1))
-
-
 def latin_rows_violation(rows) -> tuple:
     """(ok, message) for the Latin rectangle invariants on raw row tuples."""
     if not rows:
@@ -220,11 +207,8 @@ def latin_rows_violation(rows) -> tuple:
     if len(rows) > n:
         return False, f"more rows ({len(rows)}) than columns ({n})"
     try:  # a valid rectangle passes in set operations; the loops name a violation
-        if all(map(_one_to(n).__eq__, map(set, rows))) and (
-            not any(any(map(eq, a, b)) for a, b in combinations(rows, 2))
-            if len(rows) <= _PAIRWISE_ROWS
-            else min(map(len, map(set, zip(*rows)))) == len(rows)
-        ):
+        if (all(map(set(range(1, n + 1)).__eq__, map(set, rows)))
+                and min(map(len, map(set, zip(*rows)))) == len(rows)):
             return True, ""
     except TypeError:  # unhashable entries, which the loops judge as before
         pass

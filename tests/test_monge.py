@@ -150,7 +150,7 @@ def test_distribution_rejects_negative_density():
 
 
 # Entries that conversion to int64 would change, as CostArray refuses them.
-INEXACT = [0.5, np.nan, np.inf, 2.0**63, "1", np.uint64(2**64 - 1)]
+INEXACT = [0.5, np.nan, np.inf, 2.0**63, "1", 1 + 0j, np.uint64(2**64 - 1)]
 
 
 @pytest.mark.parametrize("bad", INEXACT, ids=repr)
