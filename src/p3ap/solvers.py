@@ -9,6 +9,7 @@ bottom over a sliding window of 4p - 4 column signatures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -174,12 +175,16 @@ def solve_dp(
     on the costs, so each row's transition graph is built once per process
     and cached, keyed by p, the clipping and the incoming signature bytes.  A
     signature is one int64 word for p <= 4 and two or more from p = 5 (see
-    _RowGraph).  A solve only adds costs along a row's edges and takes each
-    target's minimum, in blocks of about 2^16 edges, and keeps the row's
-    incoming costs (see _keep).  It gathers the costs with np.take, as the
-    array method, on the graph's int32 sources and uint8/uint16 placements
-    (uint32 from p = 5), and keeps no intp copy of them.  From those costs
-    the witness takes each traced state's first minimal in-edge, and
+    _RowGraph).  A solve makes one gather per edge: each state's cost
+    carries its row's potential (see _solve_dp_graph), so a row gathers its
+    incoming costs with np.take on the graph's int32 sources and takes each
+    target's minimum, in blocks of about 2^16 edges.  The potentials move
+    all in-edges of a target by one constant, so the minima, the witness
+    and the ties fall where the placement costs put them.  Each cost
+    compared sums at most n * p entries, every cell of the columns up to
+    i+2p-2 once, filled or empty, so CostArray's bound keeps it within
+    int64.  Each row keeps its incoming costs (see _keep); from them the
+    witness takes each traced state's first minimal in-edge, and
     all_optima_in_band finds the minimal in-edges of every row again.
     "reference" is the plain dict-based version, the test oracle.  Both
     retain states in increasing packed-signature order and break cost ties
@@ -268,6 +273,65 @@ def _words(packed: list, p: int, slots: int) -> np.ndarray:
                      for w in range(max(1, -(-slots * p // span)))], np.int64)
 
 
+@functools.lru_cache(maxsize=None)
+def _sig_bytes(p: int):
+    """The B bytes of a window signature, in _words' layout, that hold slot
+    bits: the low ceil(bits / 8) bytes of each word, and one for p = 1,
+    whose window has no slots.  Gives the (word, byte) of each, shape
+    (B, 2), and for each of their bits, shape (B, 8), the slot that holds
+    it, its layer and whether it belongs to a slot at all."""
+    width, cpw = 4 * p - 4, 63 // p
+    where = np.array([(w, b) for w in range(max(1, -(-width // cpw)))
+                      for b in range(max(1, -(-p * min(cpw, width - w * cpw) // 8)))])
+    bit = where[:, 1:] * 8 + np.arange(8)  # each byte's bits in their word
+    slot = where[:, :1] * cpw + bit // p
+    found = where, slot, bit % p, (bit < cpw * p) & (slot < width)
+    for a in found:
+        a.flags.writeable = False  # shared by every solve of this p
+    return found
+
+
+def _sig_cols(sigs: np.ndarray, p: int) -> np.ndarray:
+    """The _sig_bytes of signatures sigs, shape (W, S), as a (B, S) uint8
+    array, read through a byte view of the words."""
+    octets = np.ascontiguousarray(sigs, "<i8").view(np.uint8).reshape(*sigs.shape, 8)
+    where = _sig_bytes(p)[0]
+    return octets[where[:, 0], :, where[:, 1]]
+
+
+def _potential_tables(C: CostArray) -> np.ndarray:
+    """tabs[i - 1, b, v]: the share of byte b of _sig_bytes, with value v, in
+    the step W_i(s) - W_{i-1}(U) that row i adds to its incoming states s
+    (see _solve_dp_graph).
+
+    Slot t of s is column i-2p+2+t in both rows' windows, so the step sums
+    c[i] - c[i-1] over the empty slot bits of s (c[0] = 0), plus row i's
+    costs in its new right column i+2p-2 when that is in the array, which
+    table 0 holds.  A table is the sum of two half-byte tables.  Bits of no
+    slot and slots off the array weigh nothing: the former are always empty
+    and the latter always full.  Sums that wrap in int64 do no harm: the
+    tables are only ever added.
+    """
+    n, p = C.n, C.p
+    _, slot, layer, slotted = _sig_bytes(p)
+    # The 0-based column of each bit's slot in the window of row r + 1.
+    col = np.arange(2 - 2 * p, n + 2 - 2 * p)[:, None, None] + slot
+    used = slotted & (col >= 0) & (col < n)
+    # Where entry (r + 1, col + 1, layer + 1) sits in the flattened array.
+    at = np.clip(col, 0, n - 1) * p + layer
+    at += np.arange(0, n * n * p, n * p)[:, None, None]
+    flat = C.entries.reshape(-1)
+    step = flat.take(at)
+    step[1:] -= flat.take(at[1:] - n * p)
+    # clear[m, v]: half byte v leaves bit m, and so its cell, empty.
+    clear = (np.arange(16) >> np.arange(4)[:, None] & 1) ^ 1
+    half = np.where(used, step, 0).reshape(n, -1, 2, 4) @ clear
+    # Row r + 1's new column, r + 2p - 1, is in the array for r < n + 2 - 2p.
+    new = C.entries.diagonal(2 * p - 2).sum(axis=0)
+    half[:new.size, 0, 0] += new[:, None]
+    return (half[:, :, 1, :, None] + half[:, :, 0, None, :]).reshape(n, -1, 256)
+
+
 class _RowGraph:
     """Cost-free transitions of one row, in window-relative coordinates.
 
@@ -275,7 +339,10 @@ class _RowGraph:
     target state; edges are sorted by (target signature, src), and for a
     given source and target the placement is unique, so this is also the
     tie-break order.  Target j owns the edges starts[j] .. starts[j] +
-    counts[j] - 1.  sig_bytes, the bytes of sigs, keys the next row's graph.
+    counts[j] - 1.  sig_bytes, the bytes of the target signatures, keys the
+    next row's graph, and sigs is a read-only view of it.  cols holds, as
+    cost-free data for the sweep's row potentials, each signature byte that
+    carries slots (_sig_bytes) in one uint8 row per byte.
 
     A signature is W int64 words, and sigs has shape (W, S): slot t goes in
     word t // cpw at bit p * (t % cpw), cpw = 63 // p.  W = 1 for p <= 4, the
@@ -290,7 +357,8 @@ class _RowGraph:
     in-edge segments of about _BLOCK_EDGES edges, each with the views and
     block-local starts that the sweep reads.  src stays int32 and t the
     smallest unsigned type that holds a placement (uint8 for p <= 2, uint16
-    for p = 3 and 4), since the sweep gathers through them with take.
+    for p = 3 and 4): the sweep gathers through src with take, and the
+    traceback and the listing read t only on minimal edges.
     """
 
     def __init__(self, p: int, clip, in_sigs: np.ndarray):
@@ -371,15 +439,16 @@ class _RowGraph:
             first[a:a + _BLOCK_EDGES] = (pair[:, 1:] != pair[:, :-1]).any(axis=0)
         self.starts = np.flatnonzero(first)
         self.counts = np.diff(np.append(self.starts, E))
-        self.sigs = key[:, self.starts if packed else order[self.starts]]
+        sigs = key[:, self.starts if packed else order[self.starts]]
         if not packed:
             del key, part  # part is a view of key
             src, t = src[order], t[order]
         self.src, self.t = src, t
+        self.cols = _sig_cols(sigs, p)
 
         S = self.starts.size
         self.blocks = [(0, S, 0, src, t, self.starts, self.counts)]
-        held = [self.flat, src, t, self.starts, self.counts, self.sigs]
+        held = [self.flat, src, t, self.starts, self.counts, sigs, self.cols]
         cuts = np.searchsorted(self.starts, np.arange(_BLOCK_EDGES, E, _BLOCK_EDGES))
         bounds = sorted({0, S, *cuts.tolist()})
         if len(bounds) > 2:
@@ -393,7 +462,12 @@ class _RowGraph:
                     (s0, s1, e0, src[e0:e1], t[e0:e1], local, self.counts[s0:s1])
                 )
         self.nbytes = sum(a.nbytes for a in held)
-        self.sig_bytes = self.sigs.tobytes()
+        self.sig_bytes = sigs.tobytes()
+
+    @property
+    def sigs(self) -> np.ndarray:
+        """The target signatures, shape (W, S): a read-only view of sig_bytes."""
+        return np.frombuffer(self.sig_bytes, np.int64).reshape(-1, self.starts.size)
 
 
 # A row is swept in blocks of whole target segments of about this many
@@ -430,10 +504,12 @@ _GRAPHS: dict = {}
 
 
 def _next_graph(prev: Optional[_RowGraph], p: int, clip, in_sigs: np.ndarray) -> _RowGraph:
+    """The graph of the row after prev, whose targets are its incoming
+    states; in_sigs gives them only for the first row, where prev is None."""
     key = (p, clip, in_sigs.tobytes() if prev is None else prev.sig_bytes)
     g = _GRAPHS.get(key)
     if g is None:
-        g = _RowGraph(p, clip, in_sigs)
+        g = _RowGraph(p, clip, in_sigs if prev is None else prev.sigs)
         if g.sig_bytes == key[2]:
             # As for the interior graphs: the next lookup compares by identity.
             g.sig_bytes = key[2]
@@ -444,33 +520,38 @@ def _next_graph(prev: Optional[_RowGraph], p: int, clip, in_sigs: np.ndarray) ->
 
 
 def _solve_dp_graph(C: CostArray):
+    """The fixed-graph engine, on potential-adjusted costs.
+
+    Before row i each state s carries its cost plus W_i(s), the sum of row
+    i's costs over the in-array cells of its extended window that s leaves
+    empty.  An edge from s through placement t to target u costs W_i(s) -
+    W_i(U), where U is s plus t: its leaving slot full, its other slots u.
+    So every in-edge of u reaches it at the adjusted cost of its source
+    minus the same W_i(U), and a row only gathers and takes minima.  Adding
+    W_{i+1}(u) - W_i(U) per target, from _potential_tables, gives row i+1's
+    adjusted costs.  The final state leaves no cell empty, so its minimum
+    is the optimum.
+    """
     n, p = C.n, C.p
-    # Row i of the array, flattened: entry (j, k) sits at (j - 1) * p + k.
-    row_costs = C.entries.reshape(n, n * p)
+    tabs = _potential_tables(C)
 
     g = None
     sigs = _words([_pack_sig(_init_sig(n, p), p)], p, 4 * p - 4)
+    cols = _sig_cols(sigs, p)
     costs = np.zeros(1, dtype=np.int64)
-    kept = []  # per row: its graph, placement costs and _keep(incoming costs)
+    kept = []  # per row: its graph and _keep(incoming adjusted costs)
     state_counts = [1]
     for i in range(1, n + 1):
         clip = _row_clip(i, n, p)
-        _check_row_size(n, p, i, sigs.shape[1], clip)
+        _check_row_size(n, p, i, costs.size, clip)
         g = _next_graph(g, p, clip, sigs)
-        base = i - 2 * p + 2
-        delta = row_costs[i - 1, (base - 1) * p + g.flat].sum(axis=1)
+        for tab, col in zip(tabs[i - 1], cols):
+            costs += tab.take(col)
         out = np.empty(g.starts.size, dtype=np.int64)
-        for s0, s1, e0, src, t, starts, _ in g.blocks:
-            cand = costs.take(src)
-            cand += delta.take(t)
-            out[s0:s1] = np.minimum.reduceat(cand, starts)
-            # Freed before the next block's gathers, which would otherwise
-            # place a second cand beside it: on a cold p = 3, n = 200 solve
-            # the heap then kept 17 MB more at its peak.
-            del cand
-        kept.append((g, delta, _keep(costs)))
-        costs = out
-        sigs = g.sigs
+        for s0, s1, _, src, _, starts, _ in g.blocks:
+            out[s0:s1] = np.minimum.reduceat(costs.take(src), starts)
+        kept.append((g, _keep(costs)))
+        costs, cols = out, g.cols
         state_counts.append(out.size)
 
     # After row n its n * p cells fill every in-range window column, and the
@@ -482,19 +563,18 @@ def _solve_dp_graph(C: CostArray):
     # Each traced state takes its first minimal in-edge, in tie-break order:
     # argmin returns the first minimum.
     placements, state = [None] * n, 0
-    for i, (g, delta, prev) in zip(range(n, 0, -1), kept[::-1]):
+    for i, (g, prev) in zip(range(n, 0, -1), kept[::-1]):
         e0 = int(g.starts[state])
-        seg = np.s_[e0:e0 + g.counts[state]]
-        e = e0 + int(np.argmin(prev.take(g.src[seg]) + delta.take(g.t[seg])))
+        e = e0 + int(np.argmin(prev.take(g.src[e0:e0 + g.counts[state]])))
         placements[i - 1] = (g.flat[g.t[e]] // p + (i - 2 * p + 2)).tolist()
         state = int(g.src[e])
     return optimum, placements, state_counts, lambda: _list_optima(kept, n, p)
 
 
 def _keep(costs: np.ndarray) -> np.ndarray:
-    """Incoming costs as a row keeps them: offsets from their minimum in the
-    smallest unsigned type that holds a spread below 2^32, else the int64
-    row.  Minima and argmins ignore the shift, and offset + delta is int64."""
+    """Incoming adjusted costs as a row keeps them: offsets from their
+    minimum in the smallest unsigned type that holds a spread below 2^32,
+    else the int64 row.  Minima, argmins and ties ignore the shift."""
     lo = int(costs.min())
     spread = int(costs.max()) - lo
     if spread >> 32:
@@ -509,7 +589,7 @@ def _list_optima(kept, n: int, p: int) -> list:
     """Every optimal rectangle in the order of _walk_optima, in bulk.
 
     Each row's sweep runs again, block by block, over its kept (graph,
-    delta, incoming costs) to find its minimal in-edges: those into state s
+    incoming adjusted costs) to find its minimal in-edges: those into state s
     are ties[i - 1] = (first, src, t) from first[s] to first[s + 1], in tie
     order, where first is the running sum of the states' tie counts.  The
     same pass counts forward, over those ties, the optimal paths into every
@@ -521,10 +601,10 @@ def _list_optima(kept, n: int, p: int) -> list:
     _LIST_CHUNK rectangles at a time, which _latin_rectangles checks in one
     numpy pass per chunk."""
     ties, ways = [], np.ones(1, dtype=np.int64)
-    for g, delta, prev in kept:
+    for g, prev in kept:
         hit, first = [], [[0]]
-        for _, _, e0, src, t, starts, counts in g.blocks:
-            cand = prev.take(src) + delta.take(t)
+        for _, _, e0, src, _, starts, counts in g.blocks:
+            cand = prev.take(src)
             tie = cand == np.repeat(np.minimum.reduceat(cand, starts), counts)
             hit.append(np.flatnonzero(tie) + e0)
             first.append(np.add.reduceat(tie, starts, dtype=np.int32))
@@ -554,7 +634,7 @@ def _list_optima(kept, n: int, p: int) -> list:
         at = np.arange(a, min(a + _LIST_CHUNK, total))
         path = np.arange(at.size)[:, None]
         rows = np.zeros((at.size, p, n), dtype=np.min_scalar_type(n))
-        for i, ((g, _, _), (parent, t)) in enumerate(zip(kept, reversed(levels)), start=1):
+        for i, ((g, _), (parent, t)) in enumerate(zip(kept, reversed(levels)), start=1):
             # flat = column offset * p + layer; the window starts at column i - 2p + 2.
             rows[path, layer, g.flat[t[at]] // p + (i - 2 * p + 1)] = i
             at = parent[at]
@@ -590,18 +670,18 @@ def _solve_dp_reference(C: CostArray):
             for placement in pls:
                 if any(col_masks[j] >> k & 1 for k, j in enumerate(placement)):
                     continue
-                delta = 0
+                placed = 0
                 new_masks = dict(col_masks)
                 for k, j in enumerate(placement):
                     new_masks[j] |= 1 << k
-                    delta += ci[k][j - 1]
+                    placed += ci[k][j - 1]
                 if 1 <= leave <= n and new_masks[leave] != full:
                     continue  # column leaves the window incomplete: dead end
                 new_sig = tuple(
                     full if not 1 <= c <= n else new_masks.get(c, 0)
                     for c in range(win_lo, win_lo + width)
                 )
-                total = base_cost + delta
+                total = base_cost + placed
                 entry = cur_states.get(new_sig)
                 if entry is None:
                     cur_states[new_sig] = [total, [(sig, placement)]]

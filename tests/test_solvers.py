@@ -731,6 +731,16 @@ def int64_edge_instance(n, p, seed, spread):
     return apply_decomposable_shift(base, terms)[0], cap
 
 
+def scaled_edge_instance(n, p, seed):
+    """A distribution array scaled until its entries reach the CostRangeError
+    cap.  No part of it is sum-decomposable, so where a row's states differ
+    in adjusted costs they differ by multiples of the scale, far past 2^32."""
+    rng = np.random.default_rng(seed)
+    base = build_distribution_array(rng.integers(1, 3, size=(n, n, p))).entries
+    cap = (2**63 - 1) // max(4, n * p)
+    return CostArray(base * (cap // int(np.abs(base).max()))), cap
+
+
 def test_dp_is_exact_at_the_int64_edge(monkeypatch):
     kinds = []
     keep = solvers._keep
@@ -745,13 +755,19 @@ def test_dp_is_exact_at_the_int64_edge(monkeypatch):
     for seed in range(200):
         n, p = shapes[seed % len(shapes)]
         spread = seed // len(shapes) % 2 == 1
-        C, cap = int64_edge_instance(n, p, seed, spread)
-        assert int(np.abs(C.entries).max()) > cap - 2 * 125
-        kinds.append(set())
-        got = solve_dp(C, all_optima_in_band=True)
-        want = solve_dp(C, all_optima_in_band=True, method="reference")
-        assert report_fields(got) == report_fields(want), (n, p, seed)
-        assert got.optimum == solve_bruteforce(C).optimum == cost(C, got.solution)
-        # Rows keep unsigned offsets, except that with spread some row of
-        # p >= 2, where rows have more than one state, keeps raw int64 costs.
-        assert kinds[-1] == ({"u", "i"} if spread and p > 1 else {"u"}), (n, p, seed)
+        for scaled in (False, True):
+            if scaled:
+                C, cap = scaled_edge_instance(n, p, seed)
+            else:
+                C, cap = int64_edge_instance(n, p, seed, spread)
+            assert int(np.abs(C.entries).max()) > cap - 2 * 125
+            kinds.append(set())
+            got = solve_dp(C, all_optima_in_band=True)
+            want = solve_dp(C, all_optima_in_band=True, method="reference")
+            assert report_fields(got) == report_fields(want), (n, p, seed)
+            assert got.optimum == solve_bruteforce(C).optimum == cost(C, got.solution)
+            # Rows keep adjusted costs, whose row potentials cancel a
+            # sum-decomposable shift, spread or not: those rows keep unsigned
+            # offsets.  On the scaled arrays some row of p >= 2, where rows
+            # have more than one state, keeps raw int64 costs.
+            assert kinds[-1] == ({"u", "i"} if scaled and p > 1 else {"u"}), (n, p, seed)
