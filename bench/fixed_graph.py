@@ -54,7 +54,8 @@ GRID = [
     ("dp", 5, 5, 3, 2), ("dp", 5, 7, 1, 0),
     ("ties", 2, 8, 3, 5), ("ties", 4, 5, 3, 2), ("ties", 3, 20, 1, 0),
     ("normalize", 2, 70, 3, 5), ("normalize", 2, 80, 3, 5),
-    ("normalize", 2, 200, 3, 2), ("normalize", 3, 70, 3, 5),
+    ("normalize", 2, 200, 3, 2), ("normalize", 2, 400, 1, 1),
+    ("normalize", 3, 70, 3, 5), ("normalize", 4, 70, 3, 5),
     ("brute", 2, 6, 3, 2), ("brute", 3, 6, 1, 1), ("brute", 2, 7, 1, 0),
     ("io", 2, 500, 3, 5), ("io", 2, 2000, 3, 2),
 ]

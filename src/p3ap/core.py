@@ -291,11 +291,9 @@ def cost(C: CostArray, sol: Solution) -> int:
         raise DimensionError(
             f"solution is {sol.p}x{sol.n}, instance needs {C.p}x{C.n}"
         )
-    total = 0
-    for k, row in enumerate(sol.rows, start=1):
-        for j, i in enumerate(row, start=1):
-            total += C.at(i, j, k)
-    return total
+    # One gather; CostArray's bound keeps the int64 sum exact.
+    i = np.array(sol.rows, dtype=np.intp) - 1
+    return int(C.entries[i, np.arange(C.n), np.arange(C.p)[:, None]].sum())
 
 
 def to_partial_latin_square(sol: LatinRectangle) -> PartialLatinSquare:

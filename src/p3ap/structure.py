@@ -9,8 +9,9 @@ i = rows[k-1][j-1] into the band |i - j| <= 2p - 2 without losing optimality.
 
 from __future__ import annotations
 
-import heapq
+import operator
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import List, Optional
 
 from .core import CostArray, LatinRectangle, check_rows, cost
@@ -43,6 +44,9 @@ def swap(
     """
     if not 1 <= k <= sol.p:
         raise ValueError(f"layer {k} out of range 1..{sol.p}")
+    r, q = operator.index(r), operator.index(q)
+    if not (1 <= r <= sol.n and 1 <= q <= sol.n):
+        raise ValueError(f"values r={r}, q={q} out of range 1..{sol.n}")
     if r >= q:
         raise ValueError(f"need r < q, got r={r}, q={q}")
     row = list(sol.rows[k - 1])
@@ -81,11 +85,14 @@ def band_normalize(sol: LatinRectangle, C: CostArray) -> LatinRectangle:
     layer k makes non-increasing in cost.  Convert a PartialLatinSquare with
     to_latin_rectangle first.
 
-    The state is O(n*p): the rows, the column of each value in each row,
-    the value set of each column and a heap of the out-of-band entries, in
-    which an entry goes stale, and is skipped, once its cell changes.  An
-    exchange rewrites two cells of one row and pushes at most two entries,
-    so it costs O(log(n*p)) beyond its partner scan of at most n values.
+    The state is O(n*p): the rows, the column of each value in each row, a
+    bit mask per column (bit v set while it holds v) and a heap of the
+    out-of-band entries, in which an entry goes stale, and is skipped, once
+    its cell changes.  An exchange rewrites two cells of one row, XORs two
+    masks and pushes at most two entries, so it costs O(log(n*p)) beyond its
+    partner scan.  For j < i that scan starts at q = 2j + 2 - i: a cell (q, r)
+    with q < i has r - q < i - j, as the pivot has the largest offset and the
+    smallest value at it, so r > j needs q >= 2j + 2 - i.
     """
     if not isinstance(sol, LatinRectangle):
         raise TypeError(
@@ -98,27 +105,39 @@ def band_normalize(sol: LatinRectangle, C: CostArray) -> LatinRectangle:
     band = 2 * p - 2
     rows = [list(row) for row in sol.rows]
     pos = [[0] * (n + 1) for _ in range(p)]
+    cols = [0] * (n + 1)
     for i, j, k in sol.triples():
         pos[k - 1][i] = j
-    columns = [set(c) for c in zip(*rows)]
+        cols[j] |= 1 << i
     heap = [(-abs(i - j), i, j, k) for i, j, k in sol.triples() if abs(i - j) > band]
-    heapq.heapify(heap)
+    heapify(heap)
 
     max_exchanges = n * p * 2 * n + 1
     for _ in range(max_exchanges):
         # An entry is live while its cell still holds it.
-        while heap and rows[heap[0][3] - 1][heap[0][2] - 1] != heap[0][1]:
-            heapq.heappop(heap)
-        if not heap:
-            break
-        _, i, j, k = heapq.heappop(heap)
-        row, where = rows[k - 1], pos[k - 1]
-        for q in range(i + 1, n + 1) if j > i else range(1, i):
-            r = where[q]
-            # r is never j, because row k holds i in column j.
-            if (r < j) == (j > i) and i not in columns[r - 1] and q not in columns[j - 1]:
+        while heap:
+            _, i, j, k = heappop(heap)
+            if rows[k - 1][j - 1] == i:
                 break
         else:
+            break
+        row, where, col = rows[k - 1], pos[k - 1], cols[j]
+        # r is never j, because row k holds i in column j.
+        if j > i:
+            for q in range(i + 1, n + 1):
+                r = where[q]
+                if r < j and not cols[r] >> i & 1 and not col >> q & 1:
+                    break
+            else:
+                q = 0
+        else:
+            for q in range(max(1, 2 * j + 2 - i), i):
+                r = where[q]
+                if r > j and not cols[r] >> i & 1 and not col >> q & 1:
+                    break
+            else:
+                q = 0
+        if not q:
             raise RuntimeError(
                 f"internal error: no exchange partner for pivot ({i},{j}) at "
                 f"offset {abs(i - j)} > {band}; contradicts the bandwidth theorem"
@@ -127,11 +146,13 @@ def band_normalize(sol: LatinRectangle, C: CostArray) -> LatinRectangle:
         row[j - 1], row[r - 1] = q, i
         where[i], where[q] = r, j
         # Column j trades i for q, and column r q for i.
-        columns[j - 1] ^= {i, q}
-        columns[r - 1] ^= {i, q}
-        for v, c in ((i, r), (q, j)):
-            if abs(v - c) > band:
-                heapq.heappush(heap, (-abs(v - c), v, c, k))
+        swapped = (1 << i) | (1 << q)
+        cols[j] ^= swapped
+        cols[r] ^= swapped
+        if abs(i - r) > band:
+            heappush(heap, (-abs(i - r), i, r, k))
+        if abs(q - j) > band:
+            heappush(heap, (-abs(q - j), q, j, k))
     else:
         raise RuntimeError("internal error: band normalization did not terminate")
 

@@ -156,6 +156,64 @@ def test_cost_dimension_mismatch():
         cost(C, LatinRectangle(((1, 2), (2, 1))))
 
 
+def _cost_by_cells(C, sol):
+    """The objective as a per-cell sum of Python ints."""
+    cells = sol.triples() if isinstance(sol, LatinRectangle) else sol.filled()
+    return sum(int(C.entries[i - 1, j - 1, k - 1]) for i, j, k in cells)
+
+
+def test_cost_matches_the_per_cell_sum():
+    # Random entries, and entries at CostArray's bound, where the int64 sum
+    # of n*p entries of either sign is exact only if no step wraps.
+    rng = np.random.default_rng(17)
+    pyrng = random.Random(17)
+    checked = 0
+    for n in (1, 2, 3, 5, 8, 13, 40):
+        for p in range(1, min(n, 4) + 1):
+            top = (2**63 - 1) // max(4, n * p)
+            for entries in (
+                rng.integers(-1000, 1000, size=(n, n, p)),
+                rng.choice([-top, top], size=(n, n, p)),
+                np.full((n, n, p), top),
+                np.full((n, n, p), -top),
+            ):
+                C = CostArray(entries)
+                rect = random_rectangle(n, p, pyrng)
+                got = cost(C, rect)
+                assert type(got) is int
+                assert got == _cost_by_cells(C, rect)
+                checked += 1
+    assert checked == 4 * 22
+    # At the bound the total reaches n*p*top, just under 2^63.
+    C = CostArray(np.full((40, 40, 4), (2**63 - 1) // 160))
+    assert cost(C, random_rectangle(40, 4, pyrng)) == 160 * ((2**63 - 1) // 160)
+
+
+def test_cost_refuses_a_rectangle_of_another_n_or_p():
+    C = CostArray(np.zeros((3, 3, 2), dtype=np.int64))
+    for rows in (((1, 2, 3),), ((1, 2, 3), (2, 3, 1), (3, 1, 2)), ((1, 2), (2, 1))):
+        with pytest.raises(DimensionError, match="instance needs 2x3"):
+            cost(C, LatinRectangle(rows))
+
+
+def test_cost_of_partial_squares_keeps_its_checks():
+    # A partial square may use fewer layers than the instance; it is priced
+    # cell by cell, and refuses other sides, extra layers and missing cells.
+    rng = np.random.default_rng(19)
+    C = CostArray(rng.integers(-50, 50, size=(4, 4, 3)))
+    for p in (1, 2, 3):
+        sq = to_partial_latin_square(LatinRectangle(EXAMPLE_RECT[:p]))
+        assert cost(C, sq) == _cost_by_cells(C, sq)
+    with pytest.raises(DimensionError, match="solution side 2 != instance side 4"):
+        cost(C, PartialLatinSquare(n=2, p=1, cells=((1, 0), (0, 1))))
+    with pytest.raises(DimensionError, match="solution uses layer > p=1"):
+        cost(CostArray(np.zeros((4, 4, 1), dtype=np.int64)), to_partial_latin_square(
+            LatinRectangle(EXAMPLE_RECT)))
+    with pytest.raises(InfeasibleSolutionError, match="4 filled cells, expected 8"):
+        cost(C, PartialLatinSquare(n=4, p=2, cells=(
+            (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))))
+
+
 def test_rectangle_invariants():
     with pytest.raises(InfeasibleSolutionError):
         LatinRectangle(((1, 1), (2, 2)))  # rows not permutations
