@@ -10,8 +10,10 @@ check, normalize and blocks, in text and JSON, half to stdout and half to
 an --output file.  The inputs are written here with numpy alone, so they do
 not depend on either side: random layered Monge arrays, zero arrays, 0-1
 arrays that are not Monge, feasible and infeasible solutions, solve-style
-JSON reports and malformed files.  Some commands pass a flag that their
-command does not read.  The commands reach exits 0, 2 and 3.
+JSON reports, malformed files, an instance with a UTF-8 comment and one
+whose file name is not UTF-8.  Some commands pass a flag that their command
+does not read.  The commands reach exits 0, 2 and 3.  bench/cli_golden.py
+runs the same commands in-process against committed digests.
 
 Each side runs in its own directory holding the same relative paths, so
 that paths in messages agree.  A command differs when its stdout, stderr,
@@ -27,6 +29,7 @@ import collections
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -97,6 +100,11 @@ def write_inputs(root: str):
     put("not_utf8.txt", b"2 1\n\n1 2\n3 \xff\n", mode="wb")
     put("bad.json", '{"n": 2, "p": 1}')
     put("density.txt", "2 1\ndensity\n\n1 2\n3 4\n")
+    # A UTF-8 comment, and a file name that is not UTF-8 (the byte 0xff, which
+    # os.fsdecode turns into the lone surrogate that argv would carry).
+    put("cafe.txt", ("# café\n" + instance_text(layered_monge(3, 2, 302))).encode(), mode="wb")
+    shutil.copyfile(os.path.join(root, "in", "01_2_2.txt"),
+                    os.path.join(root, "in", os.fsdecode(b"x\xff.txt")))
 
     for n, p in ((3, 2), (4, 3), (5, 2), (6, 2), (6, 3), (7, 2), (12, 2), (40, 2)):
         rows = shifted_rows(n, p, n + p)
@@ -207,6 +215,11 @@ def commands() -> list:
     add("gen", "embed-pp3ap", "--input", "in/01_2_2.txt", "--nonneg-variant")
     add("blocks", "--solution", "in/sol_5_2.txt", fmt="json")
     add("blocks", "--input", "in/sol_5_2.txt")
+
+    # Files are read and written as UTF-8 whatever the locale; argv's bytes go
+    # back out as they came in.  The first of the two writes to --output.
+    add("gen", "embed-p3ap", "--input", os.fsdecode(b"in/x\xff.txt"))
+    add("solve", "--input", "in/cafe.txt")
     return cmds
 
 
@@ -221,12 +234,17 @@ def run(src: str, root: str, cid: str, args: list) -> dict:
            "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-m", "p3ap.cli", *argv], cwd=root, env=env,
                           capture_output=True, timeout=600)
+    return record(proc.returncode, proc.stdout, proc.stderr, os.path.join(root, out))
+
+
+def record(code: int, stdout: bytes, stderr: bytes, path: str) -> dict:
+    """A command's exit code, stdout, stderr and the output file at path,
+    which is removed, as text with every wall_ms value masked."""
     result = {
-        "exit": proc.returncode,
-        "stdout": mask(proc.stdout.decode(errors="backslashreplace")),
-        "stderr": mask(proc.stderr.decode(errors="backslashreplace")),
+        "exit": code,
+        "stdout": mask(stdout.decode(errors="backslashreplace")),
+        "stderr": mask(stderr.decode(errors="backslashreplace")),
     }
-    path = os.path.join(root, out)
     if os.path.exists(path):
         with open(path, "rb") as f:
             result["output_file"] = mask(f.read().decode(errors="backslashreplace"))

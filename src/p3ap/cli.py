@@ -44,7 +44,8 @@ class CliError(Exception):
 def _write(text: str, path=None):
     if path:
         try:
-            with open(path, "w") as f:
+            # Bytes that came in through argv go back out as they came, as on stdout.
+            with open(path, "w", encoding="utf-8", errors="surrogateescape") as f:
                 f.write(text)
         except OSError as e:
             raise CliError(f"cannot write {path}: {e}")
@@ -114,26 +115,18 @@ def cmd_gen(args) -> int:
 
 
 def _solve(C: CostArray, solver: str, all_optima: bool):
-    try:
-        if solver == "dp":
-            return solve_dp(C, all_optima_in_band=all_optima)
-        if solver == "brute":
-            return solve_bruteforce(C, all_optima=all_optima)
-        return solve_auto(C, all_optima_in_band=all_optima)
-    except OracleSizeLimitError as e:
-        raise CliError(str(e), code=EXIT_LIMIT)
-    except NotLayeredMongeError as e:
-        raise CliError(str(e))
+    if solver == "dp":
+        return solve_dp(C, all_optima_in_band=all_optima)
+    if solver == "brute":
+        return solve_bruteforce(C, all_optima=all_optima)
+    return solve_auto(C, all_optima_in_band=all_optima)
 
 
 def cmd_solve(args) -> int:
     C = _load_instance(args.input)
     report = _solve(C, args.solver, args.all_optima)
     if args.format == "json":
-        payload = report.to_dict()
-        if args.all_optima:
-            payload["optima_count"] = report.optima_count
-        _write(json.dumps(payload) + "\n", args.output)
+        _write(json.dumps(report.to_dict()) + "\n", args.output)
     else:
         lines = [
             f"optimum {report.optimum}",
@@ -277,9 +270,9 @@ def main(argv=None) -> int:
     except InfeasibleSolutionError as e:
         sys.stderr.write(f"error: infeasible solution: {e}\n")
         return EXIT_INPUT
-    except DimensionError as e:
+    except (DimensionError, NotLayeredMongeError, OracleSizeLimitError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return EXIT_INPUT
+        return EXIT_LIMIT if isinstance(e, OracleSizeLimitError) else EXIT_INPUT
     except MemoryError as e:
         sys.stderr.write(f"error: out of memory{f': {e}' if str(e) else ''}\n")
         return EXIT_LIMIT

@@ -277,23 +277,22 @@ def cost(C: CostArray, sol: Solution) -> int:
             raise DimensionError(f"solution side {sol.n} != instance side {C.n}")
         if sol.p > C.p:
             raise DimensionError(f"solution uses layer > p={C.p}")
-        total = 0
-        count = 0
-        for i, j, k in sol.filled():
-            total += C.at(i, j, k)
-            count += 1
-        if count != C.n * sol.p:
+        cells = np.array(sol.cells, dtype=np.intp)
+        i, j = np.nonzero(cells)
+        if len(i) != C.n * sol.p:
             raise InfeasibleSolutionError(
-                f"incomplete solution: {count} filled cells, expected {C.n * sol.p}"
+                f"incomplete solution: {len(i)} filled cells, expected {C.n * sol.p}"
             )
-        return total
-    if sol.n != C.n or sol.p != C.p:
-        raise DimensionError(
-            f"solution is {sol.p}x{sol.n}, instance needs {C.p}x{C.n}"
-        )
-    # One gather; CostArray's bound keeps the int64 sum exact.
-    i = np.array(sol.rows, dtype=np.intp) - 1
-    return int(C.entries[i, np.arange(C.n), np.arange(C.p)[:, None]].sum())
+        k = cells[i, j] - 1
+    else:
+        if sol.n != C.n or sol.p != C.p:
+            raise DimensionError(
+                f"solution is {sol.p}x{sol.n}, instance needs {C.p}x{C.n}"
+            )
+        i = np.array(sol.rows, dtype=np.intp) - 1
+        j, k = np.arange(C.n), np.arange(C.p)[:, None]
+    # One gather of at most n*p entries; CostArray's bound keeps the int64 sum exact.
+    return int(C.entries[i, j, k].sum())
 
 
 def to_partial_latin_square(sol: LatinRectangle) -> PartialLatinSquare:

@@ -68,7 +68,7 @@ def _parse_tensor(rows: list, n: int, p: int) -> np.ndarray:
             pass
     if flat is None or flat.shape != (n * p, n):
         flat = _parse_rows(rows, n)
-    return np.ascontiguousarray(flat.reshape(p, n, n).transpose(1, 2, 0))
+    return flat.reshape(p, n, n).transpose(1, 2, 0)  # CostArray copies to C order
 
 
 def parse_instance(text: str) -> CostArray:
@@ -94,12 +94,16 @@ def parse_instance(text: str) -> CostArray:
     return CostArray(entries)
 
 
-def load_instance(path) -> CostArray:
-    with open(path) as f:
+def _read(path) -> tuple:
+    """The file's text, read as UTF-8 whatever the locale, and whether it is JSON."""
+    with open(path, encoding="utf-8") as f:
         text = f.read()
-    if text.lstrip().startswith("{"):
-        return instance_from_json(text)
-    return parse_instance(text)
+    return text, text.lstrip().startswith("{")
+
+
+def load_instance(path) -> CostArray:
+    text, is_json = _read(path)
+    return instance_from_json(text) if is_json else parse_instance(text)
 
 
 def _rows_text(plane: np.ndarray) -> list:
@@ -170,9 +174,8 @@ def parse_solution_rows(text: str):
 
 
 def load_solution_rows(path):
-    with open(path) as f:
-        text = f.read()
-    if text.lstrip().startswith("{"):
+    text, is_json = _read(path)
+    if is_json:
         try:
             obj = json.loads(text)
             # `solve --format json` reports its witness as solution_rows.
@@ -189,7 +192,7 @@ def load_solution_rows(path):
 
 
 def format_solution(sol: LatinRectangle) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in sol.rows) + "\n"
+    return "\n".join(_rows_text(np.array(sol.rows))) + "\n"
 
 
 def solution_to_json(sol: LatinRectangle) -> str:

@@ -48,7 +48,8 @@ class SolveReport:
     state_counts: Optional[List[int]] = None
 
     def to_dict(self) -> dict:
-        return {
+        """`solve --format json`'s report; optima_count comes last, if optima were listed."""
+        doc = {
             "optimum": self.optimum,
             "solution_rows": [list(r) for r in self.solution.rows],
             "solver": self.solver,
@@ -56,6 +57,9 @@ class SolveReport:
             "unique_in_band": self.unique_in_band,
             "wall_ms": self.wall_ms,
         }
+        if self.optima_count is not None:
+            doc["optima_count"] = self.optima_count
+        return doc
 
 
 # Feasible p x n Latin rectangles, the leaves of the search, for every

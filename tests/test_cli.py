@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,14 +19,16 @@ from p3ap.instances import gen_random_layered_monge
 PACKAGE_ROOT = str(Path(p3ap_io.__file__).resolve().parents[1])
 
 
-def run_cli(args):
-    env = dict(os.environ)
+def run_cli(args, cwd=None, text=True, **env):
+    """The CLI as a subprocess in cwd, with env added to the environment."""
+    env = {**os.environ, **env}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "p3ap.cli", *args],
         capture_output=True,
-        text=True,
+        text=text,
         env=env,
+        cwd=cwd,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -372,3 +375,30 @@ def test_brute_all_optima_limit_exit_code(tmp_path, capsys):
     path.write_text("6 3\n" + "0 0 0 0 0 0\n" * 18)
     assert main(["solve", "--input", str(path), "--solver", "brute", "--all-optima"]) == 3
     assert "15321600 optimal rectangles: too many to list" in capsys.readouterr().err
+
+
+def test_instances_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # Under LC_ALL=C without UTF-8 mode, the locale's encoding is ASCII.
+    (tmp_path / "cafe.txt").write_bytes("# café\n2 1\n\n1 2\n3 4\n".encode())
+    outs = []
+    for env in ({}, {"LC_ALL": "C", "PYTHONUTF8": "0"}):
+        code, out, err = run_cli(["solve", "--input", "cafe.txt"], tmp_path, text=False, **env)
+        assert code == 0, err
+        outs.append(re.sub(rb"wall_ms \S+", b"wall_ms <masked>", out))
+    assert outs[0] == outs[1]
+    assert outs[0].startswith(b"optimum 5\n")
+
+
+def test_output_file_holds_the_bytes_that_stdout_gets(tmp_path):
+    # A file name that is not UTF-8 reaches the provenance line as a lone
+    # surrogate; the output file gets the byte back, as stdout does.
+    name = os.fsdecode(b"x\xff.txt")
+    (tmp_path / name).write_text("2 2\n\n0 1\n1 0\n\n1 0\n0 1\n")
+    args = ["gen", "embed-p3ap", "--input", name]
+    code, printed, _ = run_cli(args, tmp_path, text=False)
+    assert code == 0
+    code, out, err = run_cli([*args, "--output", "o.txt"], tmp_path, text=False)
+    assert code == 0, err
+    assert out == b""
+    assert b"--input x\xff.txt" in printed
+    assert (tmp_path / "o.txt").read_bytes() == printed

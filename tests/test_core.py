@@ -214,6 +214,26 @@ def test_cost_of_partial_squares_keeps_its_checks():
             (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))))
 
 
+def test_cost_of_partial_squares_at_the_bound():
+    # Entries of either sign at CostArray's bound, where the int64 sum of a
+    # square's cells is exact only if no step wraps; squares of every p.
+    rng = np.random.default_rng(23)
+    pyrng = random.Random(23)
+    for n, p in ((2, 2), (5, 3), (13, 4), (40, 4)):
+        top = (2**63 - 1) // max(4, n * p)
+        for entries in (rng.choice([-top, top], size=(n, n, p)), np.full((n, n, p), top),
+                        np.full((n, n, p), -top)):
+            C = CostArray(entries)
+            for q in range(1, p + 1):
+                sq = to_partial_latin_square(random_rectangle(n, q, pyrng))
+                got = cost(C, sq)
+                assert type(got) is int
+                assert got == _cost_by_cells(C, sq)
+    C = CostArray(np.full((40, 40, 4), (2**63 - 1) // 160))
+    sq = to_partial_latin_square(random_rectangle(40, 4, pyrng))
+    assert cost(C, sq) == 160 * ((2**63 - 1) // 160)
+
+
 def test_rectangle_invariants():
     with pytest.raises(InfeasibleSolutionError):
         LatinRectangle(((1, 1), (2, 2)))  # rows not permutations

@@ -595,6 +595,26 @@ def test_report_serialization():
     }
 
 
+def test_report_keys_end_with_optima_count_when_optima_were_listed():
+    keys = ["optimum", "solution_rows", "solver", "states_explored", "unique_in_band",
+            "wall_ms"]
+    monge = gen_random_layered_monge(4, 2, seed=3)
+    runs = [
+        (solve_dp, monge, "all_optima_in_band", "dp"),
+        (solve_bruteforce, monge, "all_optima", "brute"),
+        (solve_auto, monge, "all_optima_in_band", "dp (auto)"),
+        (solve_auto, random_01_array(4, 2, seed=0), "all_optima_in_band", "brute (auto)"),
+    ]
+    for solve, C, flag, solver in runs:
+        for listed in (False, True):
+            report = solve(C, **{flag: listed})
+            doc = report.to_dict()
+            assert report.solver == solver
+            assert list(doc) == keys + ["optima_count"] * listed
+            if listed:
+                assert doc["optima_count"] == len(report.all_optima) >= 1
+
+
 def test_auto_dispatch():
     monge = gen_random_layered_monge(4, 2, seed=3)
     assert solve_auto(monge).solver == "dp (auto)"
