@@ -46,10 +46,11 @@ import sys
 
 # (kind, p, n, processes, warm calls per process).  The warm p = 3 solves at
 # n = 7 and 8 take a few ms each, so they run 40 a process to tell the
-# sides apart on a shared host.
+# sides apart on a shared host.  The cold p = 3 solve at n = 1000 records
+# the peak RSS of a long solve, whose kept rows grow with n.
 GRID = [
     ("dp", 3, 7, 3, 40), ("dp", 3, 8, 3, 40), ("dp", 3, 20, 3, 2), ("dp", 3, 60, 1, 3),
-    ("dp", 3, 200, 1, 1),
+    ("dp", 3, 200, 1, 1), ("dp", 3, 1000, 1, 0),
     ("dp", 2, 500, 3, 5), ("dp", 2, 2000, 3, 5),
     ("dp", 5, 5, 3, 2), ("dp", 5, 7, 1, 0),
     ("ties", 2, 8, 3, 5), ("ties", 4, 5, 3, 2), ("ties", 3, 20, 1, 0),

@@ -178,16 +178,18 @@ def solve_dp(
     window is clipped by the array's edges and on the incoming states, never
     on the costs, so each row's transition graph is built once per process
     and cached, keyed by p, the clipping and the incoming signature bytes.  A
-    signature is one int64 word for p <= 4 and two or more from p = 5 (see
-    _RowGraph).  A solve makes one gather per edge: each state's cost
-    carries its row's potential (see _solve_dp_graph), so a row gathers its
-    incoming costs with np.take on the graph's int32 sources and takes each
-    target's minimum, in blocks of about 2^16 edges.  The potentials move
-    all in-edges of a target by one constant, so the minima, the witness
-    and the ties fall where the placement costs put them.  Each cost
-    compared sums at most n * p entries, every cell of the columns up to
-    i+2p-2 once, filled or empty, so CostArray's bound keeps it within
-    int64.  Each row keeps its incoming costs (see _keep); from them the
+    graph cuts the targets that no next row can extend, with their in-edges,
+    yet counts them: state_counts and states_explored count every state of
+    every row, as the reference engine does.  A signature is one int64 word
+    for p <= 4 and two or more from p = 5 (see _RowGraph).  A solve makes
+    one gather per edge: each state's cost carries its row's potential (see
+    _solve_dp_graph), so a row gathers its incoming costs with np.take on
+    the graph's int32 sources and takes each target's minimum, in blocks of
+    about 2^16 edges.  The potentials move all in-edges of a target by one
+    constant, so the minima, the witness and the ties fall where the
+    placement costs put them.  Each cost compared sums at most n * p
+    entries, every cell of the columns up to i+2p-2 once, filled or empty,
+    so CostArray's bound keeps it within int64.  Each row keeps its incoming costs (see _keep); from them the
     witness takes each traced state's first minimal in-edge, and
     all_optima_in_band finds the minimal in-edges of every row again.
     "reference" is the plain dict-based version, the test oracle.  Both
@@ -363,6 +365,16 @@ class _RowGraph:
     smallest unsigned type that holds a placement (uint8 for p <= 2, uint16
     for p = 3 and 4): the sweep gathers through src with take, and the
     traceback and the listing read t only on minimal edges.
+
+    A target's slot 0 is the column that the next row must complete, with
+    one cell at most.  When it misses two or more layers the target has no
+    out-edge, and the packed build cuts it with its in-edges: about 36 % of
+    the edges of a p = 3 row.  The graph's arrays hold the kept targets
+    only, in the same order, and they are the next row's sources.  states
+    counts every target, the cut ones included; that is the row's state
+    count in a report and the incoming count that the next row's size limit
+    reads, as in the reference engine.  A cut target has no out-edge, so
+    the next graph has the same targets and edges as if nothing were cut.
     """
 
     def __init__(self, p: int, clip, in_sigs: np.ndarray):
@@ -425,28 +437,51 @@ class _RowGraph:
             o += size
         if packed:
             key.sort()
+            # The cut (see the class docstring): one pass over the sorted
+            # keys, a chunk at a time, counts every target in states, marks
+            # the first edge of each kept one and moves the kept keys down
+            # within key, so the cut makes no second edge array.
+            live = np.array([bin(v).count("1") >= p - 1 for v in range(full + 1)])
+            shift, kept, self.states, last = src_bits + t_bits, 0, 0, -1
+            first = np.empty(E, dtype=bool)
+            for a in range(0, E, _BLOCK_EDGES):
+                chunk = key[0, a:a + _BLOCK_EDGES]
+                sig = chunk >> shift
+                new = np.diff(sig, prepend=last) != 0
+                last = sig[-1]
+                self.states += int(np.count_nonzero(new))
+                alive = live.take(sig & full)
+                chunk = chunk[alive]
+                key[0, kept:kept + chunk.size] = chunk
+                first[kept:kept + chunk.size] = new[alive]
+                kept += chunk.size
+            E, first, key = kept, first[:kept], key[:, :kept]
             src = np.empty(E, dtype=np.int32)
             t = np.empty(E, dtype=t_type)
             for a in range(0, E, _BLOCK_EDGES):
-                chunk = key[0, a:a + _BLOCK_EDGES]
-                t[a:a + _BLOCK_EDGES] = chunk & ((1 << t_bits) - 1)
-                src[a:a + _BLOCK_EDGES] = (chunk >> t_bits) & ((1 << src_bits) - 1)
-            key >>= src_bits + t_bits
+                at = np.s_[a:a + _BLOCK_EDGES]
+                t[at] = key[0, at] & ((1 << t_bits) - 1)
+                src[at] = (key[0, at] >> t_bits) & ((1 << src_bits) - 1)
+            sigs = key[:, np.flatnonzero(first)] >> shift
         else:
+            # Nothing is cut on this path, which serves p >= 4.  There a
+            # target's slot 0 lies off the array, and so counts as complete,
+            # up to row 2p - 3; the solves that _MAX_ROW_CANDIDATES lets
+            # through reach a later row only as their last, whose one target
+            # is complete ((7, 4) is refused at row 4).
             order = np.lexsort((src, *key))
-        # The sorted signatures, key itself when packed and else key[:, order],
-        # are compared a chunk at a time, so no sorted copy of key is made.
-        first = np.ones(E, dtype=bool)
-        for a in range(1, E, _BLOCK_EDGES):
-            at = np.s_[a - 1:a + _BLOCK_EDGES]
-            pair = key[:, at if packed else order[at]]
-            first[a:a + _BLOCK_EDGES] = (pair[:, 1:] != pair[:, :-1]).any(axis=0)
+            # The sorted signatures key[:, order] are compared a chunk at a
+            # time, so no sorted copy of key is made.
+            first = np.ones(E, dtype=bool)
+            for a in range(1, E, _BLOCK_EDGES):
+                pair = key[:, order[a - 1:a + _BLOCK_EDGES]]
+                first[a:a + _BLOCK_EDGES] = (pair[:, 1:] != pair[:, :-1]).any(axis=0)
+            sigs = key[:, order[first]]
+            self.states = sigs.shape[1]
+            src, t = src[order], t[order]
+        del key, part  # part is a view of key
         self.starts = np.flatnonzero(first)
         self.counts = np.diff(np.append(self.starts, E))
-        sigs = key[:, self.starts if packed else order[self.starts]]
-        if not packed:
-            del key, part  # part is a view of key
-            src, t = src[order], t[order]
         self.src, self.t = src, t
         self.cols = _sig_cols(sigs, p)
 
@@ -481,8 +516,11 @@ class _RowGraph:
 # each other from 2^14 to 2^18 (BENCH_take_gather.json).
 _BLOCK_EDGES = 1 << 16
 # A row whose incoming states times placements exceeds this is refused
-# before its edges are counted.  The largest p = 3 row has 145,500 x 504 =
-# 73.3 M; at p = 4, n = 8 row 3 would have 277,410 x 1,680 = 466 M.
+# before its edges are counted.  The count takes every incoming state, the
+# cut ones too (_RowGraph.states), so both engines refuse the same rows.
+# The largest p = 3 row has 145,500 x 504 = 73.3 M, though its graph keeps
+# 83,500 of those states; at p = 4, n = 8 row 3 would have 277,410 x 1,680
+# = 466 M.
 _MAX_ROW_CANDIDATES = 1 << 27
 
 
@@ -500,8 +538,8 @@ def _check_row_size(n: int, p: int, i: int, states: int, clip) -> None:
 
 # Row graphs keyed by (p, clipping, incoming signature bytes): the previous
 # graph's sig_bytes.  Interior rows of every instance with the same p share
-# one graph, so the cache stays small: all graphs of p = 3 hold about 16.9 M
-# edges and 114 MiB.  Past _GRAPH_CACHE_BYTES it is emptied before the next
+# one graph, so the cache stays small: all graphs of p = 3 hold about 8.8 M
+# edges and 63 MiB.  Past _GRAPH_CACHE_BYTES it is emptied before the next
 # insertion; no graph refers to another, so the evicted ones are freed.
 _GRAPH_CACHE_BYTES = 256 << 20
 _GRAPHS: dict = {}
@@ -547,7 +585,7 @@ def _solve_dp_graph(C: CostArray):
     state_counts = [1]
     for i in range(1, n + 1):
         clip = _row_clip(i, n, p)
-        _check_row_size(n, p, i, costs.size, clip)
+        _check_row_size(n, p, i, state_counts[-1], clip)
         g = _next_graph(g, p, clip, sigs)
         for tab, col in zip(tabs[i - 1], cols):
             costs += tab.take(col)
@@ -556,7 +594,7 @@ def _solve_dp_graph(C: CostArray):
             out[s0:s1] = np.minimum.reduceat(costs.take(src), starts)
         kept.append((g, _keep(costs)))
         costs, cols = out, g.cols
-        state_counts.append(out.size)
+        state_counts.append(g.states)
 
     # After row n its n * p cells fill every in-range window column, and the
     # out-of-range ones count as complete: one state is left.

@@ -13,7 +13,7 @@ import pytest
 from p3ap import solve_dp
 from p3ap import solvers
 from p3ap.instances import gen_random_layered_monge
-from p3ap.solvers import OracleSizeLimitError
+from p3ap.solvers import OracleSizeLimitError, _init_sig, _pack_sig, _row_clip
 
 
 class ConcatRowGraph:
@@ -80,20 +80,79 @@ def cached_graphs(monkeypatch, n, p, seed=0):
     return solvers._GRAPHS
 
 
-# (12, 3) runs its four interior rows on nested source sets of 145,470 to
-# 145,500 states.
+def live_targets(sigs, p: int) -> np.ndarray:
+    """Whether each target keeps its in-edges, in Python ints: its slot 0,
+    the column that the next row must complete, misses at most one of the p
+    layers."""
+    full = (1 << p) - 1
+    return np.array([bin(int(s) & full).count("1") >= p - 1 for s in sigs], dtype=bool)
+
+
+def cut_graph(want, p: int):
+    """want, a ConcatRowGraph, without its dead targets and their in-edges."""
+    edges = np.repeat(live_targets(want.sigs, p), want.counts)
+    sig = np.repeat(want.sigs, want.counts)[edges]
+    want.src, want.t = want.src[edges], want.t[edges]
+    first = np.ones(sig.size, dtype=bool)
+    first[1:] = sig[1:] != sig[:-1]
+    want.starts = np.flatnonzero(first)
+    want.counts = np.diff(np.append(want.starts, sig.size))
+    want.sigs = sig[want.starts]
+    return want
+
+
+# (12, 3) runs its four interior rows on nested source sets of 83,488 to
+# 83,500 kept states.
 @pytest.mark.parametrize("n, p", [(6, 3), (7, 3), (12, 2), (5, 4), (12, 3)])
 def test_row_graphs_match_concatenate_build(monkeypatch, n, p):
     graphs = cached_graphs(monkeypatch, n, p)
     assert graphs
     for (gp, clip, raw), g in graphs.items():
         want = ConcatRowGraph(gp, clip, np.frombuffer(raw, dtype=np.int64))
+        assert g.states == want.starts.size
+        want = cut_graph(want, gp)
         for name in GRAPH_ARRAYS:
             a, b = getattr(g, name), getattr(want, name)
             if name == "sigs":
                 a = a.reshape(-1)  # one word per signature for p <= 4
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
+
+
+def check_cut_row(p: int, clip, full_in, kept_in, dead):
+    """Builds one row from all incoming states with ConcatRowGraph and from
+    the kept ones with _RowGraph, checks the cut against the former and
+    gives the next row's (all, kept, dead) incoming states."""
+    want = ConcatRowGraph(p, clip, full_in)
+    g = solvers._RowGraph(p, clip, kept_in[None, :])
+    # The states that the previous row cut have no out-edge here.
+    assert not dead.take(want.src).any()
+    assert g.states == want.starts.size
+    # Its kept edges are the oracle's edges into the live targets, in the
+    # oracle's order; only their sources are numbered among kept states.
+    alive = live_targets(want.sigs, p)
+    edges = np.repeat(alive, want.counts)
+    assert np.array_equal(np.repeat(g.sigs[0], g.counts), np.repeat(want.sigs, want.counts)[edges])
+    assert np.array_equal(kept_in[g.src], full_in[want.src[edges]])
+    assert np.array_equal(g.t, want.t[edges])
+    return want.sigs, g.sigs[0], ~alive
+
+
+@pytest.mark.parametrize("p, top", [(2, 12), (3, 12), (4, 6)])
+def test_cut_targets_are_dead_and_kept_edges_keep_the_oracle_order(p, top):
+    # Every row of every n up to top, with rows that several n share (the
+    # same clipping and incoming states) checked once.
+    done = {}
+    for n in range(p, top + 1):
+        full_in = kept_in = np.array([_pack_sig(_init_sig(n, p), p)], dtype=np.int64)
+        dead = np.zeros(1, dtype=bool)
+        for i in range(1, n + 1):
+            clip = _row_clip(i, n, p)
+            key = (clip, full_in.tobytes())
+            if key not in done:
+                done[key] = check_cut_row(p, clip, full_in, kept_in, dead)
+            full_in, kept_in, dead = done[key]
+        assert full_in.size == kept_in.size == 1 and not dead[0]
 
 
 def packed_sigs(words, p):
@@ -206,3 +265,19 @@ def test_row_size_limit_is_shared_by_both_engines(monkeypatch):
             solve_dp(C, method=method)
     monkeypatch.setattr(solvers, "_MAX_ROW_CANDIDATES", 1 << 27)
     assert solve_dp(C).optimum == solve_dp(C, method="reference").optimum
+
+
+def test_row_size_limit_reads_every_target(monkeypatch):
+    # Row 5 of n = 7, p = 3 has 34,875 incoming states, of which the graph
+    # keeps 22,000, and P(7, 3) = 210 placements.  The limit counts all of
+    # them: 7.3 M candidates are refused, where the kept 4.62 M would pass.
+    monkeypatch.setattr(solvers, "_MAX_ROW_CANDIDATES", 5_000_000)
+    monkeypatch.setattr(solvers, "_GRAPHS", {})
+    C = gen_random_layered_monge(7, 3, seed=0)
+    messages = []
+    for method in ("auto", "reference"):
+        with pytest.raises(OracleSizeLimitError) as refusal:
+            solve_dp(C, method=method)
+        messages.append(str(refusal.value))
+    assert messages[0] == messages[1]
+    assert "row 5 of n=7, p=3 has 34875 incoming states x 210 placements" in messages[0]

@@ -42,7 +42,7 @@ def _solve_dp_graph(C: CostArray):
     state_counts = [1]
     for i in range(1, n + 1):
         clip = _row_clip(i, n, p)
-        _check_row_size(n, p, i, sigs.shape[1], clip)
+        _check_row_size(n, p, i, state_counts[-1], clip)
         g = _next_graph(g, p, clip, sigs)
         base = i - 2 * p + 2
         delta = row_costs[i - 1, (base - 1) * p + g.flat].sum(axis=1)
@@ -58,7 +58,7 @@ def _solve_dp_graph(C: CostArray):
         kept.append((g, delta, _keep(costs)))
         costs = out
         sigs = g.sigs
-        state_counts.append(out.size)
+        state_counts.append(g.states)
 
     # After row n its n * p cells fill every in-range window column, and the
     # out-of-range ones count as complete: one state is left.
