@@ -184,14 +184,18 @@ def solve_dp(
     for p <= 4 and two or more from p = 5 (see _RowGraph).  A solve makes
     one gather per edge: each state's cost carries its row's potential (see
     _solve_dp_graph), so a row gathers its incoming costs with np.take on
-    the graph's int32 sources and takes each target's minimum, in blocks of
-    about 2^16 edges.  The potentials move all in-edges of a target by one
-    constant, so the minima, the witness and the ties fall where the
+    the graph's int32 sources and takes each target's minimum.  It does so
+    tile by tile: the in-edges are stored as dense (in-degree, targets)
+    tiles of at most 2^15 entries, each swept by one gather and one minimum
+    over its columns, and one more gather puts the minima back in signature
+    order (see _RowGraph).  The potentials move all in-edges of a target by
+    one constant, so the minima, the witness and the ties fall where the
     placement costs put them.  Each cost compared sums at most n * p
     entries, every cell of the columns up to i+2p-2 once, filled or empty,
-    so CostArray's bound keeps it within int64.  Each row keeps its incoming costs (see _keep); from them the
-    witness takes each traced state's first minimal in-edge, and
-    all_optima_in_band finds the minimal in-edges of every row again.
+    so CostArray's bound keeps it within int64.  Each row keeps its
+    incoming costs (see _keep); from them the witness takes each traced
+    state's first minimal in-edge, and all_optima_in_band finds the minimal
+    in-edges of every row again.
     "reference" is the plain dict-based version, the test oracle.  Both
     retain states in increasing packed-signature order and break cost ties
     toward the earlier (predecessor order, then placement order) candidate,
@@ -341,14 +345,28 @@ def _potential_tables(C: CostArray) -> np.ndarray:
 class _RowGraph:
     """Cost-free transitions of one row, in window-relative coordinates.
 
-    Edge e leads from incoming state src[e] through placement t[e] to a
-    target state; edges are sorted by (target signature, src), and for a
-    given source and target the placement is unique, so this is also the
-    tie-break order.  Target j owns the edges starts[j] .. starts[j] +
-    counts[j] - 1.  sig_bytes, the bytes of the target signatures, keys the
-    next row's graph, and sigs is a read-only view of it.  cols holds, as
-    cost-free data for the sweep's row potentials, each signature byte that
-    carries slots (_sig_bytes) in one uint8 row per byte.
+    An edge leads from an incoming state src through a placement t to a
+    target state.  The targets are in increasing signature order; the
+    in-edges of each are in order of src, and for a given source and
+    target the placement is unique, so this is also the tie-break order.
+    sig_bytes, the bytes of the target signatures, keys the next row's
+    graph, and sigs is a read-only view of it.  cols holds, as cost-free
+    data for the sweep's row potentials, each signature byte that carries
+    slots (_sig_bytes) in one uint8 row per byte.
+
+    The edges are stored as in-degree tiles.  tiles is a list of (c0, src,
+    t): src is an int32 (d, m) matrix, t the matching matrix of placements,
+    and column j holds the in-edges of the target in column c0 + j, in tie
+    order, in its first counts[c0 + j] rows.  The sweep takes one gather and
+    one minimum over axis 0 per tile.  A graph whose S targets and largest
+    in-degree D have S * D <= _BLOCK_EDGES is one tile in signature order,
+    and back is None: every p <= 2 row is.  Each column is padded to depth
+    D by repeating its last in-edge, which changes neither its minimum nor
+    its first minimal in-edge, and no pad counts as a tie.  Any other graph
+    orders its targets by in-degree, stably, and cuts each run of one
+    in-degree d into tiles of _BLOCK_EDGES // d targets (at least one);
+    those tiles have no pads, and the target of signature index s is in
+    column back[s]: one gather puts a row's minima back in signature order.
 
     A signature is W int64 words, and sigs has shape (W, S): slot t goes in
     word t // cpw at bit p * (t % cpw), cpw = 63 // p.  W = 1 for p <= 4, the
@@ -359,12 +377,11 @@ class _RowGraph:
     src, t) fits in 63 bits, as it always does for p <= 3, the key packs all
     three and is sorted in place; otherwise it holds the signature and a
     lexsort on (src, words), most significant word last, gives increasing
-    packed-signature order.  blocks cuts the targets into runs of whole
-    in-edge segments of about _BLOCK_EDGES edges, each with the views and
-    block-local starts that the sweep reads.  src stays int32 and t the
-    smallest unsigned type that holds a placement (uint8 for p <= 2, uint16
-    for p = 3 and 4): the sweep gathers through src with take, and the
-    traceback and the listing read t only on minimal edges.
+    packed-signature order.  The sorted edges' src and t are gathered into
+    the tiles, one tile at a time, and then freed.  src stays int32 and t
+    the smallest unsigned type that holds a placement (uint8 for p <= 2,
+    uint16 for p = 3 and 4): the sweep gathers through src with take, and
+    the traceback and the listing read t only on minimal edges.
 
     A target's slot 0 is the column that the next row must complete, with
     one cell at most.  When it misses two or more layers the target has no
@@ -392,17 +409,26 @@ class _RowGraph:
         right = _words([(full if rclip else 0) << (p * width)], p, width + 1)
         ext = np.pad(in_sigs, ((0, len(right) - W), (0, 0))) + right
         # A placement fits when it hits no filled slot and, if the leaving
-        # column (slot 0, in word 0) is in the array, completes it.
+        # column (slot 0, in word 0) is in the array, completes it.  So it
+        # fits only sources whose leaving column holds exactly the layers
+        # lead & ~add[0], and is tested on that group of sources alone,
+        # which keeps their increasing order.
         lead = 0 if lclip else full
         adds = _words([sum(1 << x for x in pl) for pl in self.flat.tolist()], p, width + 1).T
+        groups = {}
 
-        def fits(add):
-            ok = (ext[0] & (add[0] | lead)) == (lead & ~add[0])
-            for w in range(1, len(ext)):
-                ok &= (ext[w] & add[w]) == 0
-            return ok
+        def fitting(add):
+            v = lead & ~int(add[0])
+            if v not in groups:
+                at = np.flatnonzero((ext[0] & lead) == v)
+                groups[v] = at, ext[:, at]
+            at, sub = groups[v]
+            ok = (sub[0] & add[0]) == 0
+            for w in range(1, len(sub)):
+                ok &= (sub[w] & add[w]) == 0
+            return at[ok]
 
-        sels = [np.flatnonzero(fits(add)) for add in adds]
+        sels = [fitting(add) for add in adds]
         E = sum(map(len, sels))
         if not E:
             raise RuntimeError("internal error: no feasible band-limited extension")
@@ -462,7 +488,8 @@ class _RowGraph:
                 at = np.s_[a:a + _BLOCK_EDGES]
                 t[at] = key[0, at] & ((1 << t_bits) - 1)
                 src[at] = (key[0, at] >> t_bits) & ((1 << src_bits) - 1)
-            sigs = key[:, np.flatnonzero(first)] >> shift
+            starts = np.flatnonzero(first)
+            sigs = key[:, starts] >> shift
         else:
             # Nothing is cut on this path, which serves p >= 4.  There a
             # target's slot 0 lies off the array, and so counts as complete,
@@ -476,45 +503,59 @@ class _RowGraph:
             for a in range(1, E, _BLOCK_EDGES):
                 pair = key[:, order[a - 1:a + _BLOCK_EDGES]]
                 first[a:a + _BLOCK_EDGES] = (pair[:, 1:] != pair[:, :-1]).any(axis=0)
-            sigs = key[:, order[first]]
+            starts = np.flatnonzero(first)
+            sigs = key[:, order[starts]]
             self.states = sigs.shape[1]
             src, t = src[order], t[order]
         del key, part  # part is a view of key
-        self.starts = np.flatnonzero(first)
-        self.counts = np.diff(np.append(self.starts, E))
-        self.src, self.t = src, t
+        # src and t are now sorted by (target signature, src), and a
+        # target's in-edges run from its starts to the next target's.
+        counts = np.diff(np.append(starts, E))
+        S = starts.size
+        if S * int(counts.max()) <= _BLOCK_EDGES:
+            tgts, cuts, self.back = np.arange(S), [0], None
+        else:
+            tgts = np.argsort(counts, kind="stable")
+            self.back = np.empty(S, dtype=np.int32)
+            self.back[tgts] = np.arange(S, dtype=np.int32)
+            # Each run of one in-degree d is cut every _BLOCK_EDGES // d targets.
+            deg = counts[tgts]
+            runs = np.flatnonzero(np.diff(deg, prepend=0, append=deg[-1] + 1)).tolist()
+            cuts = [c for a, b in zip(runs[:-1], runs[1:])
+                    for c in range(a, b, max(1, _BLOCK_EDGES // int(deg[a])))]
+        self.counts = counts[tgts]
+        self.tiles = []
+        for c0, c1 in zip(cuts, cuts[1:] + [S]):
+            at = tgts[c0:c1]
+            # Row r holds each column's r-th in-edge; in the padded tile a
+            # column past its in-degree repeats its last one.
+            e = starts[at] + np.arange(self.counts[c0:c1].max())[:, None]
+            if self.back is None:
+                np.minimum(e, starts[at] + counts[at] - 1, out=e)
+            self.tiles.append((c0, src.take(e), t.take(e)))
+        del src, t
         self.cols = _sig_cols(sigs, p)
-
-        S = self.starts.size
-        self.blocks = [(0, S, 0, src, t, self.starts, self.counts)]
-        held = [self.flat, src, t, self.starts, self.counts, sigs, self.cols]
-        cuts = np.searchsorted(self.starts, np.arange(_BLOCK_EDGES, E, _BLOCK_EDGES))
-        bounds = sorted({0, S, *cuts.tolist()})
-        if len(bounds) > 2:
-            self.blocks = []
-            for s0, s1 in zip(bounds[:-1], bounds[1:]):
-                e0 = int(self.starts[s0])
-                e1 = int(self.starts[s1]) if s1 < S else E
-                local = self.starts[s0:s1] - e0
-                held.append(local)
-                self.blocks.append(
-                    (s0, s1, e0, src[e0:e1], t[e0:e1], local, self.counts[s0:s1])
-                )
+        held = [self.flat, self.counts, sigs, self.cols]
+        held += [a for _, src, t in self.tiles for a in (src, t)]
+        held += [] if self.back is None else [self.back]
         self.nbytes = sum(a.nbytes for a in held)
         self.sig_bytes = sigs.tobytes()
 
     @property
     def sigs(self) -> np.ndarray:
         """The target signatures, shape (W, S): a read-only view of sig_bytes."""
-        return np.frombuffer(self.sig_bytes, np.int64).reshape(-1, self.starts.size)
+        return np.frombuffer(self.sig_bytes, np.int64).reshape(-1, self.counts.size)
 
 
-# A row is swept in blocks of whole target segments of about this many
-# edges, so that its per-edge temporaries stay in cache; a graph's sorted
-# keys are decoded and compared in chunks of the same size.  With the
-# np.take gathers, warm p = 3 solves at n = 7 and n = 60 ran within noise of
-# each other from 2^14 to 2^18 (BENCH_take_gather.json).
-_BLOCK_EDGES = 1 << 16
+# A tile holds at most this many entries, edges and pads, unless it is one
+# target's column, so that a row's per-tile temporaries stay in cache; a
+# graph's sorted keys are decoded and compared in chunks of the same size.
+# The cap keeps the gathers local: tiles of whole in-degree classes, with no
+# cap, took 3.8-5.9 ms on an interior p = 3 row, against 3.5 ms for the
+# reduceat sweep that the tiles replaced.  Swept in-process on a 2-core
+# host, the interior rows of p = 3 took 2.7-2.9 ms with 2^15 and 2^14,
+# 2.9-3.1 ms with 2^16, and 3.5 ms with 2^17 or 3.8 ms with 2^12.
+_BLOCK_EDGES = 1 << 15
 # A row whose incoming states times placements exceeds this is refused
 # before its edges are counted.  The count takes every incoming state, the
 # cut ones too (_RowGraph.states), so both engines refuse the same rows.
@@ -539,7 +580,7 @@ def _check_row_size(n: int, p: int, i: int, states: int, clip) -> None:
 # Row graphs keyed by (p, clipping, incoming signature bytes): the previous
 # graph's sig_bytes.  Interior rows of every instance with the same p share
 # one graph, so the cache stays small: all graphs of p = 3 hold about 8.8 M
-# edges and 63 MiB.  Past _GRAPH_CACHE_BYTES it is emptied before the next
+# edges and 58 MiB.  Past _GRAPH_CACHE_BYTES it is emptied before the next
 # insertion; no graph refers to another, so the evicted ones are freed.
 _GRAPH_CACHE_BYTES = 256 << 20
 _GRAPHS: dict = {}
@@ -582,6 +623,10 @@ def _solve_dp_graph(C: CostArray):
     cols = _sig_cols(sigs, p)
     costs = np.zeros(1, dtype=np.int64)
     kept = []  # per row: its graph and _keep(incoming adjusted costs)
+    # A row's minima in tile order, reused from row to row: a fresh array a
+    # row, freed after the gather through back, fragmented the heap of long
+    # solves (330 against 302 MB of peak RSS at n = 1000, p = 3).
+    buf = np.empty(0, dtype=np.int64)
     state_counts = [1]
     for i in range(1, n + 1):
         clip = _row_clip(i, n, p)
@@ -589,9 +634,16 @@ def _solve_dp_graph(C: CostArray):
         g = _next_graph(g, p, clip, sigs)
         for tab, col in zip(tabs[i - 1], cols):
             costs += tab.take(col)
-        out = np.empty(g.starts.size, dtype=np.int64)
-        for s0, s1, _, src, _, starts, _ in g.blocks:
-            out[s0:s1] = np.minimum.reduceat(costs.take(src), starts)
+        # Each tile's column minima; back returns those of a graph of
+        # several tiles to signature order.
+        if g.back is None:
+            out = np.minimum.reduce(costs.take(g.tiles[0][1]), 0)
+        else:
+            if buf.size < g.back.size:
+                buf = np.empty(g.back.size, dtype=np.int64)
+            for c0, src, _ in g.tiles:
+                np.minimum.reduce(costs.take(src), 0, out=buf[c0:c0 + src.shape[1]])
+            out = buf.take(g.back)
         kept.append((g, _keep(costs)))
         costs, cols = out, g.cols
         state_counts.append(g.states)
@@ -603,13 +655,17 @@ def _solve_dp_graph(C: CostArray):
     optimum = int(costs[0])
 
     # Each traced state takes its first minimal in-edge, in tie-break order:
-    # argmin returns the first minimum.
+    # argmin returns the first minimum, and a column's pads follow its edges.
     placements, state = [None] * n, 0
     for i, (g, prev) in zip(range(n, 0, -1), kept[::-1]):
-        e0 = int(g.starts[state])
-        e = e0 + int(np.argmin(prev.take(g.src[e0:e0 + g.counts[state]])))
-        placements[i - 1] = (g.flat[g.t[e]] // p + (i - 2 * p + 2)).tolist()
-        state = int(g.src[e])
+        j = state if g.back is None else int(g.back[state])
+        for c0, src, t in g.tiles:
+            if j < c0 + src.shape[1]:
+                break
+        col = src[:, j - c0]
+        e = int(np.argmin(prev.take(col)))
+        placements[i - 1] = (g.flat[t[e, j - c0]] // p + (i - 2 * p + 2)).tolist()
+        state = int(col[e])
     return optimum, placements, state_counts, lambda: _list_optima(kept, n, p)
 
 
@@ -630,43 +686,53 @@ _LIST_CHUNK = 4096  # optima listed per chunk, which bounds the temporaries
 def _list_optima(kept, n: int, p: int) -> list:
     """Every optimal rectangle in the order of _walk_optima, in bulk.
 
-    Each row's sweep runs again, block by block, over its kept (graph,
-    incoming adjusted costs) to find its minimal in-edges: those into state s
-    are ties[i - 1] = (first, src, t) from first[s] to first[s + 1], in tie
-    order, where first is the running sum of the states' tie counts.  The
-    same pass counts forward, over those ties, the optimal paths into every
-    state: in int64 while a row's sums stay below 2^62, and in exact Python
-    ints after that.  The final state's count meets the listing cap before
-    anything is listed.  Paths grow breadth first from the final state 0,
-    children in tie order, which keeps the depth-first order; then a walk
-    back through the parents scatters the placements into the rows of up to
-    _LIST_CHUNK rectangles at a time, which _latin_rectangles checks in one
-    numpy pass per chunk."""
+    Each row's sweep runs again, tile by tile, over its kept (graph,
+    incoming adjusted costs) to find its minimal in-edges, pads left out:
+    those of tile column c are ties[i - 1] = (first, src, t, back) from
+    first[c] to first[c + 1], in tie order, where first is the running sum
+    of the columns' tie counts, and state s is column back[s] (s itself
+    when back is None).  The same pass counts forward, over those ties, the
+    optimal paths into every state: in int64 while a row's sums stay below
+    2^62, and in exact Python ints after that.  The final state's count
+    meets the listing cap before anything is listed.  Paths grow breadth
+    first from the final state 0, children in tie order, which keeps the
+    depth-first order; then a walk back through the parents scatters the
+    placements into the rows of up to _LIST_CHUNK rectangles at a time,
+    which _latin_rectangles checks in one numpy pass per chunk."""
     ties, ways = [], np.ones(1, dtype=np.int64)
     for g, prev in kept:
-        hit, first = [], [[0]]
-        for _, _, e0, src, _, starts, counts in g.blocks:
+        hits, tied = [], []
+        for c0, src, t in g.tiles:
             cand = prev.take(src)
-            tie = cand == np.repeat(np.minimum.reduceat(cand, starts), counts)
-            hit.append(np.flatnonzero(tie) + e0)
-            first.append(np.add.reduceat(tie, starts, dtype=np.int32))
-        hit = np.concatenate(hit)
-        # first[s] to first[s + 1] are state s's ties: a running sum of the
-        # tie counts, each at least 1, so reduceat sums every state's range.
-        # A count is at most its state's in-degree, so the counts sum in
-        # int32, which runs faster than the int64 that numpy picks for bool.
-        first = np.cumsum(np.concatenate(first))
-        src = g.src[hit]
+            tie = cand == np.minimum.reduce(cand, 0)
+            if g.back is None:
+                # Column j's pads lie below its counts[j] in-edges and never
+                # tie; only a graph of one tile has pads.
+                tie &= np.arange(len(tie))[:, None] < g.counts
+            # Column by column, each in tie order: h = j * d + r indexes
+            # the transposed tile, r * m + j the tile.
+            d, m = tie.shape
+            h = np.flatnonzero(tie.T)
+            e = h % d * m + h // d
+            hits.append((src.take(e), t.take(e)))
+            tied.append(np.count_nonzero(tie, axis=0))
+        src, t = (np.concatenate(a) for a in zip(*hits))
+        # first[c] to first[c + 1] are column c's ties: a running sum of the
+        # tie counts, each at least 1, so reduceat sums every column's range.
+        first = np.concatenate(([0], np.cumsum(np.concatenate(tied))))
         if ways.dtype != object and int(ways.max()) * int(g.counts.max()) >> 62:
             ways = ways.astype(object)
         ways = np.add.reduceat(ways.take(src), first[:-1])
-        ties.append((first, src, g.t[hit]))
+        if g.back is not None:
+            ways = ways.take(g.back)
+        ties.append((first, src, t, g.back))
 
     total = _check_optima(int(ways[0]), n, p)
     levels, state = [], np.array([0])
-    for first, src, t in reversed(ties):
-        lo = first[state]
-        k = first[state + 1] - lo
+    for first, src, t, back in reversed(ties):
+        col = state if back is None else back.take(state)
+        lo = first[col]
+        k = first[col + 1] - lo
         parent = np.repeat(np.arange(state.size), k)
         e = np.arange(parent.size) + np.repeat(lo - (np.cumsum(k) - k), k)
         state = src[e]

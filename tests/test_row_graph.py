@@ -1,11 +1,14 @@
-"""The lean row-graph build and blocked sweep against the build they replaced.
+"""The lean row-graph build and tiled sweep against the build they replaced.
 
 ConcatRowGraph is the former _RowGraph build, kept verbatim as the oracle:
 it concatenates each placement's edges and orders them with an argsort.
+flat_edges decodes a graph's in-degree tiles into the oracle's flat layout.
 """
 
 import itertools
 import time
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,6 +76,36 @@ def edge_order(sig, src, src_count: int, sig_bits: int) -> np.ndarray:
 GRAPH_ARRAYS = ("flat", "src", "t", "starts", "counts", "sigs")
 
 
+_FLAT = weakref.WeakKeyDictionary()
+
+
+def flat_edges(g):
+    """g's in-edges as the flat arrays of GRAPH_ARRAYS: src and t sorted by
+    (target signature, src), and each target's starts and counts into them.
+
+    Column c of the tiles holds the in-edges of target c, or of the target j
+    with back[j] = c, in its first counts[c] rows; the rows below are pads."""
+    view = _FLAT.get(g)
+    if view is None:
+        src, t = [], []
+        for c0, s, tt in g.tiles:
+            real = (np.arange(len(s))[:, None] < g.counts[c0:c0 + s.shape[1]]).T
+            src.append(s.T[real])
+            t.append(tt.T[real])
+        S = g.counts.size
+        target = np.arange(S) if g.back is None else np.argsort(g.back)
+        order = np.argsort(np.repeat(target, g.counts), kind="stable")
+        counts = np.empty_like(g.counts)
+        counts[target] = g.counts
+        view = SimpleNamespace(
+            flat=g.flat, sigs=g.sigs,
+            src=np.concatenate(src)[order], t=np.concatenate(t)[order],
+            starts=np.cumsum(counts) - counts, counts=counts,
+        )
+        _FLAT[g] = view
+    return view
+
+
 def cached_graphs(monkeypatch, n, p, seed=0):
     """The graphs that one cold solve of gen_random_layered_monge(n, p) caches."""
     monkeypatch.setattr(solvers, "_GRAPHS", {})
@@ -112,7 +145,7 @@ def test_row_graphs_match_concatenate_build(monkeypatch, n, p):
         assert g.states == want.starts.size
         want = cut_graph(want, gp)
         for name in GRAPH_ARRAYS:
-            a, b = getattr(g, name), getattr(want, name)
+            a, b = getattr(flat_edges(g), name), getattr(want, name)
             if name == "sigs":
                 a = a.reshape(-1)  # one word per signature for p <= 4
             assert a.dtype == b.dtype, name
@@ -125,6 +158,7 @@ def check_cut_row(p: int, clip, full_in, kept_in, dead):
     gives the next row's (all, kept, dead) incoming states."""
     want = ConcatRowGraph(p, clip, full_in)
     g = solvers._RowGraph(p, clip, kept_in[None, :])
+    got = flat_edges(g)
     # The states that the previous row cut have no out-edge here.
     assert not dead.take(want.src).any()
     assert g.states == want.starts.size
@@ -132,9 +166,9 @@ def check_cut_row(p: int, clip, full_in, kept_in, dead):
     # oracle's order; only their sources are numbered among kept states.
     alive = live_targets(want.sigs, p)
     edges = np.repeat(alive, want.counts)
-    assert np.array_equal(np.repeat(g.sigs[0], g.counts), np.repeat(want.sigs, want.counts)[edges])
-    assert np.array_equal(kept_in[g.src], full_in[want.src[edges]])
-    assert np.array_equal(g.t, want.t[edges])
+    assert np.array_equal(np.repeat(g.sigs[0], got.counts), np.repeat(want.sigs, want.counts)[edges])
+    assert np.array_equal(kept_in[got.src], full_in[want.src[edges]])
+    assert np.array_equal(got.t, want.t[edges])
     return want.sigs, g.sigs[0], ~alive
 
 
@@ -178,53 +212,100 @@ def test_multiword_row_graphs_match_a_python_int_build(monkeypatch, p):
         words = np.frombuffer(raw, dtype=np.int64).reshape(2, -1)
         want = ConcatRowGraph(gp, clip, packed_sigs(words, p))
         for name in GRAPH_ARRAYS:
-            a, b = getattr(g, name), getattr(want, name)
+            a, b = getattr(flat_edges(g), name), getattr(want, name)
             if name == "sigs":
                 a = packed_sigs(a, p)
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
 
 
-def test_row_graph_blocks_tile_the_targets(monkeypatch):
+def check_tiles(g, cap):
+    """g's tiles: at most cap entries, or one column; together they hold
+    columns 0 .. S - 1 in order; each is as deep as its deepest column;
+    pads repeat an in-edge of their own column; a graph of more than one
+    tile puts its targets in order of in-degree, and back says where.
+    flat_edges checks none of this: it drops the pads by counts alone."""
+    S = g.counts.size
+    assert g.counts.min() >= 1
+    if g.back is None:
+        assert len(g.tiles) == 1
+    else:
+        assert len(g.tiles) > 1 and g.back.dtype == np.int32
+        assert np.array_equal(np.sort(g.back), np.arange(S))
+        # By in-degree, and in signature order within one in-degree.
+        assert np.all(np.diff(g.counts) >= 0)
+        target = np.argsort(g.back)
+        assert np.all(np.diff(target)[np.diff(g.counts) == 0] > 0)
+    end = 0
+    for c0, src, t in g.tiles:
+        d, m = src.shape
+        assert c0 == end and m >= 1 and t.shape == (d, m)
+        assert src.size <= cap or m == 1
+        assert src.dtype == np.int32 and t.dtype == np.min_scalar_type(len(g.flat) - 1)
+        counts = g.counts[c0:c0 + m]
+        assert counts.max() == d
+        real = np.arange(d)[:, None] < counts
+        # Pad (r, j) equals some edge (k, j) of its column: the same source
+        # and placement.
+        edge = src.astype(np.int64) << 32 | t
+        same = (edge[:, None, :] == edge[None, :, :]) & real[None, :, :]
+        assert same.any(axis=1)[~real].all()
+        end += m
+    assert end == S
+
+
+def test_row_graph_tiles_hold_at_most_the_entry_cap(monkeypatch):
+    # With 1000 entries a tile, the wide rows of (7, 3) take several tiles
+    # of each in-degree and the narrow ones one padded tile.
     monkeypatch.setattr(solvers, "_BLOCK_EDGES", 1000)
-    for (p, clip, raw), g in cached_graphs(monkeypatch, 7, 3).items():
-        edges = g.src.size
-        if edges <= 1000:
-            assert len(g.blocks) == 1
-            (s0, s1, e0, src, t, starts, counts), = g.blocks
-            # A single block sweeps the graph's own arrays.
-            assert src is g.src and t is g.t
-            assert starts is g.starts and counts is g.counts
-            continue
-        assert len(g.blocks) > 1
-        s_end = e_end = 0
-        for s0, s1, e0, src, t, starts, counts in g.blocks:
-            assert (s0, e0) == (s_end, e_end) and s1 > s0
-            e1 = e0 + src.size
-            assert np.array_equal(starts + e0, g.starts[s0:s1])
-            assert np.array_equal(counts, g.counts[s0:s1])
-            assert np.shares_memory(src, g.src) and np.shares_memory(t, g.t)
-            # Whole segments of about _BLOCK_EDGES edges: a block passes the
-            # size only by its last segment.
-            assert src.size - counts[-1] < 1000
-            s_end, e_end = s1, e1
-        assert (s_end, e_end) == (g.sigs.size, edges)
+    graphs = cached_graphs(monkeypatch, 7, 3).values()
+    for g in graphs:
+        check_tiles(g, 1000)
+        single = g.counts.size * g.counts.max() <= 1000
+        assert (g.back is None) == single
+    assert {g.back is None for g in graphs} == {True, False}
+
+
+@pytest.mark.parametrize("p, top", [(1, 12), (2, 12), (3, 12), (4, 6)])
+def test_tiles_hold_the_oracle_in_edges_in_order(p, top):
+    # Every row of every n up to top, on the kept states of the row before,
+    # with rows that several n share checked once.
+    done = {}
+    for n in range(p, top + 1):
+        sigs = np.array([_pack_sig(_init_sig(n, p), p)], dtype=np.int64)
+        for i in range(1, n + 1):
+            clip = _row_clip(i, n, p)
+            key = (clip, sigs.tobytes())
+            if key not in done:
+                g = solvers._RowGraph(p, clip, sigs[None, :])
+                check_tiles(g, solvers._BLOCK_EDGES)
+                want = cut_graph(ConcatRowGraph(p, clip, sigs), p)
+                for name in GRAPH_ARRAYS:
+                    a, b = getattr(flat_edges(g), name), getattr(want, name)
+                    if name == "sigs":
+                        a = a.reshape(-1)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (n, i, name)
+                done[key] = g.sigs[0]
+            sigs = done[key]
+        assert sigs.size == 1
 
 
 @pytest.mark.parametrize("n, p", [(7, 3), (12, 2)])
 def test_sweep_reads_the_graphs_without_copying_them(monkeypatch, n, p):
-    # The sweep gathers with np.take on the graph's own narrow indices; a
+    # The sweep gathers with np.take on the graph's own narrow tiles; a
     # warm solve must neither widen them nor store copies next to them.
     graphs = cached_graphs(monkeypatch, n, p)
-    held = {key: g.nbytes for key, g in graphs.items()}
+    held = {key: (g.nbytes, [a for _, src, t in g.tiles for a in (src, t)])
+            for key, g in graphs.items()}
     solve_dp(gen_random_layered_monge(n, p, seed=1))
     assert set(graphs) == set(held)
     for key, g in graphs.items():
-        assert g.src.dtype == np.int32
-        assert g.t.dtype == np.min_scalar_type(len(g.flat) - 1)
-        for _, _, _, src, t, _, _ in g.blocks:
-            assert np.shares_memory(src, g.src) and np.shares_memory(t, g.t)
-        assert g.nbytes == held[key]
+        nbytes, tiles = held[key]
+        assert g.nbytes == nbytes
+        assert all(a is b for a, b in zip(tiles, (a for _, src, t in g.tiles for a in (src, t))))
+        for _, src, t in g.tiles:
+            assert src.dtype == np.int32
+            assert t.dtype == np.min_scalar_type(len(g.flat) - 1)
 
 
 REPORT_FIELDS = ("optimum", "solution", "all_optima", "optima_count",
@@ -240,7 +321,7 @@ def test_blocked_sweep_matches_reference(monkeypatch, n, p):
         monkeypatch.setattr(solvers, "_BLOCK_EDGES", block)
         monkeypatch.setattr(solvers, "_GRAPHS", {})
         got = solve_dp(C, all_optima_in_band=True)
-        assert max(len(g.blocks) for g in solvers._GRAPHS.values()) > 1
+        assert max(len(g.tiles) for g in solvers._GRAPHS.values()) > 1
         for field in REPORT_FIELDS:
             assert getattr(got, field) == getattr(want, field), (block, field)
 

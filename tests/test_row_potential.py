@@ -1,10 +1,12 @@
 """The potential-adjusted row sweep against the two-gather sweep it replaced.
 
 _solve_dp_graph and _list_optima below are the former graph engine, kept
-verbatim as the oracle: each row adds its placement costs delta[t] along the
-edges before it takes the minima.  They run on the same cached row graphs as
+as the oracle: each row adds its placement costs delta[t] along the edges
+before it takes the minima.  They run on the same cached row graphs as
 solve_dp, whose engine instead gathers costs plus row potentials, so every
-report must come out the same.
+report must come out the same.  They read each graph's in-degree tiles
+through flat_edges, as the flat (signature, src)-ordered edge arrays that
+the graphs once held, and sweep a row as one block of them.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from p3ap.solvers import (
     _row_clip,
     _words,
 )
-from test_row_graph import packed_sigs
+from test_row_graph import flat_edges, packed_sigs
 from test_solvers import int64_edge_instance, report_fields, scaled_edge_instance, tied_instance
 
 
@@ -46,16 +48,9 @@ def _solve_dp_graph(C: CostArray):
         g = _next_graph(g, p, clip, sigs)
         base = i - 2 * p + 2
         delta = row_costs[i - 1, (base - 1) * p + g.flat].sum(axis=1)
-        out = np.empty(g.starts.size, dtype=np.int64)
-        for s0, s1, e0, src, t, starts, _ in g.blocks:
-            cand = costs.take(src)
-            cand += delta.take(t)
-            out[s0:s1] = np.minimum.reduceat(cand, starts)
-            # Freed before the next block's gathers, which would otherwise
-            # place a second cand beside it: on a cold p = 3, n = 200 solve
-            # the heap then kept 17 MB more at its peak.
-            del cand
-        kept.append((g, delta, _keep(costs)))
+        f = flat_edges(g)
+        out = np.minimum.reduceat(costs.take(f.src) + delta.take(f.t), f.starts)
+        kept.append((f, delta, _keep(costs)))
         costs = out
         sigs = g.sigs
         state_counts.append(g.states)
@@ -95,18 +90,12 @@ def _list_optima(kept, n: int, p: int) -> list:
     numpy pass per chunk."""
     ties, ways = [], np.ones(1, dtype=np.int64)
     for g, delta, prev in kept:
-        hit, first = [], [[0]]
-        for _, _, e0, src, t, starts, counts in g.blocks:
-            cand = prev.take(src) + delta.take(t)
-            tie = cand == np.repeat(np.minimum.reduceat(cand, starts), counts)
-            hit.append(np.flatnonzero(tie) + e0)
-            first.append(np.add.reduceat(tie, starts, dtype=np.int32))
-        hit = np.concatenate(hit)
+        cand = prev.take(g.src) + delta.take(g.t)
+        tie = cand == np.repeat(np.minimum.reduceat(cand, g.starts), g.counts)
+        hit = np.flatnonzero(tie)
         # first[s] to first[s + 1] are state s's ties: a running sum of the
         # tie counts, each at least 1, so reduceat sums every state's range.
-        # A count is at most its state's in-degree, so the counts sum in
-        # int32, which runs faster than the int64 that numpy picks for bool.
-        first = np.cumsum(np.concatenate(first))
+        first = np.cumsum(np.append(0, np.add.reduceat(tie, g.starts)))
         src = g.src[hit]
         if ways.dtype != object and int(ways.max()) * int(g.counts.max()) >> 62:
             ways = ways.astype(object)

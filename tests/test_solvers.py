@@ -349,7 +349,7 @@ def test_dp_graph_cache_size_constant_in_n():
     # The graph whose signatures are its key's keeps the key's bytes, so the
     # next row's lookup compares them by identity.
     assert sum(g.sig_bytes is key[2] for key, g in solvers._GRAPHS.items()) == 1
-    solvers._GRAPHS.clear()  # frees the 63 MiB of p = 3 graphs
+    solvers._GRAPHS.clear()  # frees the 58 MiB of p = 3 graphs
 
 
 def test_evicted_graphs_are_freed_without_the_cycle_collector(monkeypatch):
