@@ -10,8 +10,11 @@ seconds per call and its own peak RSS.  A point reports the median cold and
 warm times, the range of its cold times and the largest peak RSS over its
 processes.  The kinds of call are:
 
-- dp: solve_dp on gen_random_layered_monge, whose answer is the optimum or,
-  when the DP refuses the instance, the refusal message;
+- dp: solve_dp on gen_random_layered_monge, whose answer is the optimum and
+  states_explored or, when the DP refuses the instance, the refusal message;
+  each side also reports, for its first solve, the states and the in-edges
+  that its row sweeps read, summed over the rows (read from the row graphs
+  that the solve cached: a graph's counts, one per swept target);
 - ties: solve_dp with all_optima_in_band on the zero array, where every
   in-band rectangle is optimal, with a seeded decomposable shift at p = 2,
   whose answer is the optimum, the count and the listed optima or, when
@@ -31,7 +34,8 @@ repeat by repeat, and the side that leads alternates from one repeat to the
 next (parent, change, change, parent, ...): on a shared host the first of
 two back-to-back processes can run slower.  Points with one process per side
 alternate the leading side by grid index instead.  A point with no warm calls
-reports warm_s as null.
+reports warm_s as null.  states_explored, swept_states and swept_edges are
+reported for dp points that solve.
 """
 
 from __future__ import annotations
@@ -126,18 +130,31 @@ def call(seed):
         return time.process_time() - t0, [r.optimum, r.solution.rows, r.states_explored]
     t0 = time.process_time()
     try:
-        answer = solve_dp(C).optimum
+        r = solve_dp(C)
+        answer = [r.optimum, r.states_explored]
     except OracleSizeLimitError as e:
         answer = str(e)
     return time.process_time() - t0, answer
 
-times, answers = [], []
+def swept():
+    # The graphs of the last solve, walked through the cache from row 1.
+    from p3ap import solvers
+    raw = solvers._words([solvers._pack_sig(solvers._init_sig(n, p), p)], p, 4 * p - 4)
+    raw, states, edges = raw.tobytes(), 0, 0
+    for i in range(1, n + 1):
+        g = solvers._GRAPHS[(p, solvers._row_clip(i, n, p), raw)]
+        states, edges, raw = states + g.counts.size, edges + int(g.counts.sum()), g.sig_bytes
+    return {"swept_states": states, "swept_edges": edges}
+
+times, answers, graph = [], [], None
 for k in range(1 + warm):
     t, answer = call(seed + k)
     times.append(t)
     answers.append(answer)
+    if kind == "dp" and k == 0 and not isinstance(answer, str):
+        graph = {"states_explored": answer[1], **swept()}
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"times": times, "answers": answers, "peak_rss_mb": rss}))
+print(json.dumps({"times": times, "answers": answers, "peak_rss_mb": rss, "graph": graph}))
 """
 
 
@@ -153,7 +170,7 @@ def run_process(src, kind, n, p, warm, r):
 def summarize(docs):
     cold = [doc["times"][0] for doc in docs]
     warm_times = [t for doc in docs for t in doc["times"][1:]]
-    return {
+    point = {
         "cold_s": round(statistics.median(cold), 4),
         "cold_range": [round(min(cold), 4), round(max(cold), 4)],
         "warm_s": round(statistics.median(warm_times), 4) if warm_times else None,
@@ -161,6 +178,9 @@ def summarize(docs):
         "peak_rss_mb": round(max(doc["peak_rss_mb"] for doc in docs), 1),
         "answers": [a for doc in docs for a in doc["answers"]],
     }
+    if docs[0]["graph"]:
+        point.update(docs[0]["graph"])
+    return point
 
 
 def main():

@@ -180,17 +180,20 @@ def solve_dp(
     and cached, keyed by p, the clipping and the incoming signature bytes.  A
     graph cuts the targets that no next row can extend, with their in-edges,
     yet counts them: state_counts and states_explored count every state of
-    every row, as the reference engine does.  A signature is one int64 word
-    for p <= 4 and two or more from p = 5 (see _RowGraph).  A solve makes
-    one gather per edge: each state's cost carries its row's potential (see
+    every row, as the reference engine does.  Of the states it keeps, it
+    sweeps only those that can still be completed (_can_finish): every state
+    on a path to the final one is swept.  A signature is one int64 word for
+    p <= 4 and two or more from p = 5 (see _RowGraph).  A solve makes one
+    gather per edge: each state's cost carries its row's potential (see
     _solve_dp_graph), so a row gathers its incoming costs with np.take on
-    the graph's int32 sources and takes each target's minimum.  It does so
+    the graph's narrow sources and takes each target's minimum.  It does so
     tile by tile: the in-edges are stored as dense (in-degree, targets)
     tiles of at most 2^15 entries, each swept by one gather and one minimum
     over its columns, and one more gather puts the minima back in signature
-    order (see _RowGraph).  The potentials move all in-edges of a target by
-    one constant, so the minima, the witness and the ties fall where the
-    placement costs put them.  Each cost compared sums at most n * p
+    order (see _RowGraph); a graph of several tiles gathers the row's
+    narrow kept costs (see _keep).  The potentials move all in-edges of a
+    target by one constant, so the minima, the witness and the ties fall
+    where the placement costs put them.  Each cost compared sums at most n * p
     entries, every cell of the columns up to i+2p-2 once, filled or empty,
     so CostArray's bound keeps it within int64.  Each row keeps its
     incoming costs (see _keep); from them the witness takes each traced
@@ -342,6 +345,25 @@ def _potential_tables(C: CostArray) -> np.ndarray:
     return (half[:, :, 1, :, None] + half[:, :, 0, None, :]).reshape(n, -1, 256)
 
 
+def _can_finish(sigs: np.ndarray, p: int, rclip: int) -> np.ndarray:
+    """Whether each state of signatures sigs, shape (W, S), reached after a
+    row whose window the array clips by rclip columns on the right, passes
+    the completion rule.
+
+    Slot t is the column that rows up to t + 1 later can still fill, one
+    cell a row, so a state whose slot t misses more than min(t + 1, rows
+    left) layers has no completion.  rclip > 0 leaves 2p - 2 - rclip rows;
+    rclip = 0 leaves at least 2p - 2 >= p, and no slot misses more than p."""
+    left = 2 * p - 2 - rclip if rclip else p
+    misses = np.array([p - bin(v).count("1") for v in range(1 << p)], np.int8)
+    ok = np.ones(sigs.shape[1], dtype=bool)
+    cpw = 63 // p
+    for t in range(p - 1 if left >= p else 4 * p - 4):  # slots that can fail
+        bits = sigs[t // cpw] >> p * (t % cpw) & (1 << p) - 1
+        ok &= misses.take(bits) <= min(t + 1, left)
+    return ok
+
+
 class _RowGraph:
     """Cost-free transitions of one row, in window-relative coordinates.
 
@@ -355,18 +377,19 @@ class _RowGraph:
     slots (_sig_bytes) in one uint8 row per byte.
 
     The edges are stored as in-degree tiles.  tiles is a list of (c0, src,
-    t): src is an int32 (d, m) matrix, t the matching matrix of placements,
-    and column j holds the in-edges of the target in column c0 + j, in tie
-    order, in its first counts[c0 + j] rows.  The sweep takes one gather and
-    one minimum over axis 0 per tile.  A graph whose S targets and largest
-    in-degree D have S * D <= _BLOCK_EDGES is one tile in signature order,
-    and back is None: every p <= 2 row is.  Each column is padded to depth
-    D by repeating its last in-edge, which changes neither its minimum nor
-    its first minimal in-edge, and no pad counts as a tie.  Any other graph
-    orders its targets by in-degree, stably, and cuts each run of one
-    in-degree d into tiles of _BLOCK_EDGES // d targets (at least one);
-    those tiles have no pads, and the target of signature index s is in
-    column back[s]: one gather puts a row's minima back in signature order.
+    t): src is a (d, m) matrix of sources, t the matching matrix of
+    placements, and column j holds the in-edges of the target in column
+    c0 + j, in tie order, in its first counts[c0 + j] rows.  The sweep takes
+    one gather and one minimum over axis 0 per tile.  A graph whose S swept
+    targets and largest in-degree D have S * D <= _BLOCK_EDGES is one tile
+    in signature order, and back is None: every p <= 2 row is.  Each column
+    is padded to depth D by repeating its last in-edge, which changes
+    neither its minimum nor its first minimal in-edge, and no pad counts as
+    a tie.  Any other graph orders its targets by in-degree, stably, and
+    cuts each run of one in-degree d into tiles of _BLOCK_EDGES // d targets
+    (at least one); those tiles have no pads, and the target of signature
+    index s is in column back[s]: one gather puts a row's minima back in
+    signature order.
 
     A signature is W int64 words, and sigs has shape (W, S): slot t goes in
     word t // cpw at bit p * (t % cpw), cpw = 63 // p.  W = 1 for p <= 4, the
@@ -378,10 +401,12 @@ class _RowGraph:
     three and is sorted in place; otherwise it holds the signature and a
     lexsort on (src, words), most significant word last, gives increasing
     packed-signature order.  The sorted edges' src and t are gathered into
-    the tiles, one tile at a time, and then freed.  src stays int32 and t
-    the smallest unsigned type that holds a placement (uint8 for p <= 2,
-    uint16 for p = 3 and 4): the sweep gathers through src with take, and
-    the traceback and the listing read t only on minimal edges.
+    the tiles, one tile at a time, and then freed.  A tile's src takes the
+    smallest unsigned type that numbers its graph's sources (uint8 for
+    p <= 2, up to uint32 from p = 3) and t the smallest that holds a
+    placement (uint8 for p <= 2, uint16 for p = 3 and 4): the sweep gathers
+    through src with take, and the traceback and the listing read t only on
+    minimal edges.
 
     A target's slot 0 is the column that the next row must complete, with
     one cell at most.  When it misses two or more layers the target has no
@@ -392,6 +417,17 @@ class _RowGraph:
     count in a report and the incoming count that the next row's size limit
     reads, as in the reference engine.  A cut target has no out-edge, so
     the next graph has the same targets and edges as if nothing were cut.
+
+    Of the kept targets, the tiles hold the swept ones alone: those that
+    pass the completion rule of _can_finish, which swept marks in signature
+    order.  The rest, about 11 % of an interior p = 3 row, have no path to
+    the final state; they stay kept, so states, sigs and the next graph are
+    as before.  A target's slot t is its source's slot t + 1, one row on,
+    with at most one cell more, so a target that passes the rule has only
+    sources that passed the row before's, and its in-edges all lie within
+    the swept states.  The tiles number their sources among those: the
+    incoming states that pass the rule, read from the clipping alone, as
+    the row before does, so the cache key still fixes the graph.
     """
 
     def __init__(self, p: int, clip, in_sigs: np.ndarray):
@@ -434,6 +470,7 @@ class _RowGraph:
             raise RuntimeError("internal error: no feasible band-limited extension")
         T = len(self.flat)
         t_type = np.min_scalar_type(T - 1)
+        src_type = np.min_scalar_type(in_sigs.shape[1] - 1)
         src_bits = (in_sigs.shape[1] - 1).bit_length()
         t_bits = (T - 1).bit_length()
         packed = W == 1 and p * width + src_bits + t_bits <= 63
@@ -441,7 +478,7 @@ class _RowGraph:
         # its src and t: sorting it sorts the edges by (signature, src).
         key = np.empty((W, E), dtype=np.int64)
         if not packed:
-            src = np.empty(E, dtype=np.int32)
+            src = np.empty(E, dtype=src_type)
             t = np.empty(E, dtype=t_type)
         o = 0
         for ti, add in enumerate(adds):
@@ -482,7 +519,7 @@ class _RowGraph:
                 first[kept:kept + chunk.size] = new[alive]
                 kept += chunk.size
             E, first, key = kept, first[:kept], key[:, :kept]
-            src = np.empty(E, dtype=np.int32)
+            src = np.empty(E, dtype=src_type)
             t = np.empty(E, dtype=t_type)
             for a in range(0, E, _BLOCK_EDGES):
                 at = np.s_[a:a + _BLOCK_EDGES]
@@ -507,10 +544,18 @@ class _RowGraph:
             sigs = key[:, order[starts]]
             self.states = sigs.shape[1]
             src, t = src[order], t[order]
+            del order
         del key, part  # part is a view of key
         # src and t are now sorted by (target signature, src), and a
-        # target's in-edges run from its starts to the next target's.
-        counts = np.diff(np.append(starts, E))
+        # target's in-edges run from its starts to the next target's.  The
+        # tiles hold the swept targets alone, with their sources numbered
+        # among the incoming states that the row before swept, through rank.
+        self.swept = _can_finish(sigs, p, rclip)
+        rank = np.cumsum(_can_finish(in_sigs, p, max(rclip - 1, 0))) - 1
+        rank = rank.astype(np.min_scalar_type(rank[-1]))
+        live = np.flatnonzero(self.swept)
+        counts = np.diff(np.append(starts, E))[live]
+        starts = starts[live]
         S = starts.size
         if S * int(counts.max()) <= _BLOCK_EDGES:
             tgts, cuts, self.back = np.arange(S), [0], None
@@ -532,10 +577,10 @@ class _RowGraph:
             e = starts[at] + np.arange(self.counts[c0:c1].max())[:, None]
             if self.back is None:
                 np.minimum(e, starts[at] + counts[at] - 1, out=e)
-            self.tiles.append((c0, src.take(e), t.take(e)))
+            self.tiles.append((c0, rank.take(src.take(e)), t.take(e)))
         del src, t
-        self.cols = _sig_cols(sigs, p)
-        held = [self.flat, self.counts, sigs, self.cols]
+        self.cols = _sig_cols(sigs[:, live], p)
+        held = [self.flat, self.counts, sigs, self.cols, self.swept]
         held += [a for _, src, t in self.tiles for a in (src, t)]
         held += [] if self.back is None else [self.back]
         self.nbytes = sum(a.nbytes for a in held)
@@ -544,7 +589,7 @@ class _RowGraph:
     @property
     def sigs(self) -> np.ndarray:
         """The target signatures, shape (W, S): a read-only view of sig_bytes."""
-        return np.frombuffer(self.sig_bytes, np.int64).reshape(-1, self.counts.size)
+        return np.frombuffer(self.sig_bytes, np.int64).reshape(-1, self.swept.size)
 
 
 # A tile holds at most this many entries, edges and pads, unless it is one
@@ -579,9 +624,9 @@ def _check_row_size(n: int, p: int, i: int, states: int, clip) -> None:
 
 # Row graphs keyed by (p, clipping, incoming signature bytes): the previous
 # graph's sig_bytes.  Interior rows of every instance with the same p share
-# one graph, so the cache stays small: all graphs of p = 3 hold about 8.8 M
-# edges and 58 MiB.  Past _GRAPH_CACHE_BYTES it is emptied before the next
-# insertion; no graph refers to another, so the evicted ones are freed.
+# one graph, so the cache stays small: all graphs of p = 3 hold about 8.1 M
+# swept edges and 52 MiB.  Past _GRAPH_CACHE_BYTES it is emptied before the
+# next insertion; no graph refers to another, so the evicted ones are freed.
 _GRAPH_CACHE_BYTES = 256 << 20
 _GRAPHS: dict = {}
 
@@ -623,10 +668,10 @@ def _solve_dp_graph(C: CostArray):
     cols = _sig_cols(sigs, p)
     costs = np.zeros(1, dtype=np.int64)
     kept = []  # per row: its graph and _keep(incoming adjusted costs)
-    # A row's minima in tile order, reused from row to row: a fresh array a
-    # row, freed after the gather through back, fragmented the heap of long
-    # solves (330 against 302 MB of peak RSS at n = 1000, p = 3).
-    buf = np.empty(0, dtype=np.int64)
+    # The bytes of a row's minima in tile order, reused from row to row: a
+    # fresh array a row, freed after the gather through back, fragmented the
+    # heap of long solves (330 against 302 MB of peak RSS at n = 1000, p = 3).
+    buf = np.empty(0, dtype=np.uint8)
     state_counts = [1]
     for i in range(1, n + 1):
         clip = _row_clip(i, n, p)
@@ -634,17 +679,23 @@ def _solve_dp_graph(C: CostArray):
         g = _next_graph(g, p, clip, sigs)
         for tab, col in zip(tabs[i - 1], cols):
             costs += tab.take(col)
-        # Each tile's column minima; back returns those of a graph of
-        # several tiles to signature order.
+        # Each tile's column minima.  A graph of one tile sweeps the int64
+        # costs.  A graph of several sweeps the narrow kept copy, offsets
+        # from the costs' minimum lo, and back returns its minima to
+        # signature order, where lo is added back.
+        prev = _keep(costs)
         if g.back is None:
             out = np.minimum.reduce(costs.take(g.tiles[0][1]), 0)
         else:
-            if buf.size < g.back.size:
-                buf = np.empty(g.back.size, dtype=np.int64)
+            lo = int(costs[0]) - int(prev[0])
+            if buf.size < g.back.size * 8:
+                buf = np.empty(g.back.size * 8, dtype=np.uint8)
+            mins = buf[:g.back.size * prev.itemsize].view(prev.dtype)
             for c0, src, _ in g.tiles:
-                np.minimum.reduce(costs.take(src), 0, out=buf[c0:c0 + src.shape[1]])
-            out = buf.take(g.back)
-        kept.append((g, _keep(costs)))
+                np.minimum.reduce(prev.take(src), 0, out=mins[c0:c0 + src.shape[1]])
+            out = mins.take(g.back).astype(np.int64)
+            out += lo
+        kept.append((g, prev))
         costs, cols = out, g.cols
         state_counts.append(g.states)
 
@@ -672,7 +723,9 @@ def _solve_dp_graph(C: CostArray):
 def _keep(costs: np.ndarray) -> np.ndarray:
     """Incoming adjusted costs as a row keeps them: offsets from their
     minimum in the smallest unsigned type that holds a spread below 2^32,
-    else the int64 row.  Minima, argmins and ties ignore the shift."""
+    else the int64 row.  Minima, argmins and ties ignore the shift, so a
+    graph of several tiles sweeps this copy, whose narrow gathers are
+    cheaper, and adds the shift back to its minima."""
     lo = int(costs.min())
     spread = int(costs.max()) - lo
     if spread >> 32:
@@ -732,7 +785,7 @@ def _list_optima(kept, n: int, p: int) -> list:
     for first, src, t, back in reversed(ties):
         col = state if back is None else back.take(state)
         lo = first[col]
-        k = first[col + 1] - lo
+        k = first[1:].take(col) - lo  # col + 1 could wrap a narrow col
         parent = np.repeat(np.arange(state.size), k)
         e = np.arange(parent.size) + np.repeat(lo - (np.cumsum(k) - k), k)
         state = src[e]

@@ -2,7 +2,8 @@
 
 ConcatRowGraph is the former _RowGraph build, kept verbatim as the oracle:
 it concatenates each placement's edges and orders them with an argsort.
-flat_edges decodes a graph's in-degree tiles into the oracle's flat layout.
+flat_edges decodes a graph's in-degree tiles into the oracle's flat layout,
+and cut_graph cuts the oracle's graph to the targets that a row sweeps.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import pytest
 from p3ap import solve_dp
 from p3ap import solvers
 from p3ap.instances import gen_random_layered_monge
-from p3ap.solvers import OracleSizeLimitError, _init_sig, _pack_sig, _row_clip
+from p3ap.solvers import OracleSizeLimitError, _init_sig, _pack_sig, _row_clip, _words
 
 
 class ConcatRowGraph:
@@ -81,7 +82,8 @@ _FLAT = weakref.WeakKeyDictionary()
 
 def flat_edges(g):
     """g's in-edges as the flat arrays of GRAPH_ARRAYS: src and t sorted by
-    (target signature, src), and each target's starts and counts into them.
+    (target signature, src), and each swept target's signature and its
+    starts and counts into them.
 
     Column c of the tiles holds the in-edges of target c, or of the target j
     with back[j] = c, in its first counts[c] rows; the rows below are pads."""
@@ -98,7 +100,7 @@ def flat_edges(g):
         counts = np.empty_like(g.counts)
         counts[target] = g.counts
         view = SimpleNamespace(
-            flat=g.flat, sigs=g.sigs,
+            flat=g.flat, sigs=g.sigs[:, g.swept],
             src=np.concatenate(src)[order], t=np.concatenate(t)[order],
             starts=np.cumsum(counts) - counts, counts=counts,
         )
@@ -113,19 +115,52 @@ def cached_graphs(monkeypatch, n, p, seed=0):
     return solvers._GRAPHS
 
 
-def live_targets(sigs, p: int) -> np.ndarray:
-    """Whether each target keeps its in-edges, in Python ints: its slot 0,
-    the column that the next row must complete, misses at most one of the p
-    layers."""
+def chain(graphs, n: int, p: int, rows=None):
+    """(i, key, g, sources) for rows i = 1 .. rows (default n) of an n-row
+    solve, walked through the graph cache from the first row's key; sources
+    is the count of states swept before row i, which g's tiles index."""
+    raw, sources = _words([_pack_sig(_init_sig(n, p), p)], p, 4 * p - 4).tobytes(), 1
+    for i in range(1, (rows or n) + 1):
+        key = (p, _row_clip(i, n, p), raw)
+        g = graphs[key]
+        yield i, key, g, sources
+        raw, sources = g.sig_bytes, int(np.count_nonzero(g.swept))
+
+
+def counted_targets(sigs, p: int) -> np.ndarray:
+    """Whether each target is kept as a state of its row, in Python ints:
+    its slot 0, the column that the next row must complete, misses at most
+    one of the p layers."""
     full = (1 << p) - 1
     return np.array([bin(int(s) & full).count("1") >= p - 1 for s in sigs], dtype=bool)
 
 
-def cut_graph(want, p: int):
-    """want, a ConcatRowGraph, without its dead targets and their in-edges."""
-    edges = np.repeat(live_targets(want.sigs, p), want.counts)
+def live_targets(sigs, p: int, left: int) -> np.ndarray:
+    """Whether each target, after a row with left rows below it, is swept:
+    its slot t, which the next min(t + 1, left) rows can fill one cell a
+    row, misses at most that many of the p layers.  sigs may be int64 or
+    Python ints of any width; every slot is tested, bit by bit."""
+    sigs = np.asarray(sigs)
+    ok = np.ones(sigs.size, dtype=bool)
+    for t in range(4 * p - 4):
+        slot = sigs >> p * t
+        misses = sum(1 - (slot >> k & 1) for k in range(p))
+        ok &= np.asarray(misses <= min(t + 1, left), dtype=bool)
+    return ok
+
+
+def cut_graph(want, in_sigs, p: int, left: int):
+    """want, a ConcatRowGraph built on in_sigs for a row with left rows
+    below it, as _RowGraph sweeps it: the live targets alone, with their
+    in-edges, whose sources all finish too and are numbered among the
+    incoming states that finish, in the narrowest type that holds them."""
+    edges = np.repeat(live_targets(want.sigs, p, left), want.counts)
     sig = np.repeat(want.sigs, want.counts)[edges]
-    want.src, want.t = want.src[edges], want.t[edges]
+    fin = live_targets(in_sigs, p, left + 1)
+    assert fin[want.src[edges]].all()
+    rank = np.cumsum(fin) - 1
+    want.src = rank[want.src[edges]].astype(np.min_scalar_type(rank[-1]))
+    want.t = want.t[edges]
     first = np.ones(sig.size, dtype=bool)
     first[1:] = sig[1:] != sig[:-1]
     want.starts = np.flatnonzero(first)
@@ -140,53 +175,70 @@ def cut_graph(want, p: int):
 def test_row_graphs_match_concatenate_build(monkeypatch, n, p):
     graphs = cached_graphs(monkeypatch, n, p)
     assert graphs
-    for (gp, clip, raw), g in graphs.items():
-        want = ConcatRowGraph(gp, clip, np.frombuffer(raw, dtype=np.int64))
+    walked = set()
+    for i, (gp, clip, raw), g, _ in chain(graphs, n, p):
+        walked.add((gp, clip, raw))
+        in_sigs = np.frombuffer(raw, dtype=np.int64)
+        want = ConcatRowGraph(gp, clip, in_sigs)
         assert g.states == want.starts.size
-        want = cut_graph(want, gp)
+        assert np.array_equal(g.sigs[0], want.sigs[counted_targets(want.sigs, gp)])
+        want = cut_graph(want, in_sigs, gp, n - i)
         for name in GRAPH_ARRAYS:
             a, b = getattr(flat_edges(g), name), getattr(want, name)
             if name == "sigs":
                 a = a.reshape(-1)  # one word per signature for p <= 4
             assert a.dtype == b.dtype, name
             assert np.array_equal(a, b), name
+    assert walked == set(graphs)
 
 
-def check_cut_row(p: int, clip, full_in, kept_in, dead):
-    """Builds one row from all incoming states with ConcatRowGraph and from
-    the kept ones with _RowGraph, checks the cut against the former and
-    gives the next row's (all, kept, dead) incoming states."""
+def check_cut_row(p: int, clip, left: int, full_in, kept_in, swept_in, cut, dead):
+    """Builds one row, with left rows below it, from all incoming states
+    with ConcatRowGraph and from the kept ones with _RowGraph, checks the
+    cuts against the former and gives the next row's (all, kept, swept)
+    incoming states and which of all were cut and which are dead."""
     want = ConcatRowGraph(p, clip, full_in)
     g = solvers._RowGraph(p, clip, kept_in[None, :])
     got = flat_edges(g)
-    # The states that the previous row cut have no out-edge here.
-    assert not dead.take(want.src).any()
+    # The states that the previous row cut have no out-edge here, and those
+    # that it left unswept lead to targets that this row leaves unswept.
+    alive = live_targets(want.sigs, p, left)
+    target = np.repeat(np.arange(want.sigs.size), want.counts)
+    assert not cut.take(want.src).any()
+    assert not alive[target[dead.take(want.src)]].any()
+    kept = counted_targets(want.sigs, p)
     assert g.states == want.starts.size
-    # Its kept edges are the oracle's edges into the live targets, in the
-    # oracle's order; only their sources are numbered among kept states.
-    alive = live_targets(want.sigs, p)
+    assert np.array_equal(g.sigs[0], want.sigs[kept])
+    assert np.array_equal(g.sigs[0][g.swept], want.sigs[alive])
+    # Its swept edges are the oracle's edges into the live targets, in the
+    # oracle's order; only their sources are numbered among swept states.
     edges = np.repeat(alive, want.counts)
-    assert np.array_equal(np.repeat(g.sigs[0], got.counts), np.repeat(want.sigs, want.counts)[edges])
-    assert np.array_equal(kept_in[got.src], full_in[want.src[edges]])
+    assert np.array_equal(np.repeat(got.sigs[0], got.counts), want.sigs[target[edges]])
+    assert got.src.dtype == np.min_scalar_type(swept_in.size - 1)
+    assert np.array_equal(swept_in[got.src], full_in[want.src[edges]])
     assert np.array_equal(got.t, want.t[edges])
-    return want.sigs, g.sigs[0], ~alive
+    return want.sigs, g.sigs[0], got.sigs[0], ~kept, ~alive
 
 
 @pytest.mark.parametrize("p, top", [(2, 12), (3, 12), (4, 6)])
 def test_cut_targets_are_dead_and_kept_edges_keep_the_oracle_order(p, top):
     # Every row of every n up to top, with rows that several n share (the
-    # same clipping and incoming states) checked once.
+    # same clipping, incoming states and rule) checked once.  Induction on
+    # the rows: a dead state only leads to dead ones, and the last row's
+    # one state is live, so no dead state has a completion.
     done = {}
     for n in range(p, top + 1):
-        full_in = kept_in = np.array([_pack_sig(_init_sig(n, p), p)], dtype=np.int64)
-        dead = np.zeros(1, dtype=bool)
+        full_in = kept_in = swept_in = np.array([_pack_sig(_init_sig(n, p), p)], dtype=np.int64)
+        cut = dead = np.zeros(1, dtype=bool)
         for i in range(1, n + 1):
             clip = _row_clip(i, n, p)
-            key = (clip, full_in.tobytes())
+            # A slot misses at most p layers, so past p rows left the rule
+            # is the same.
+            key = (clip, min(n - i, p), full_in.tobytes())
             if key not in done:
-                done[key] = check_cut_row(p, clip, full_in, kept_in, dead)
-            full_in, kept_in, dead = done[key]
-        assert full_in.size == kept_in.size == 1 and not dead[0]
+                done[key] = check_cut_row(p, clip, n - i, full_in, kept_in, swept_in, cut, dead)
+            full_in, kept_in, swept_in, cut, dead = done[key]
+        assert full_in.size == kept_in.size == swept_in.size == 1 and not dead[0]
 
 
 def packed_sigs(words, p):
@@ -207,10 +259,13 @@ def test_multiword_row_graphs_match_a_python_int_build(monkeypatch, p):
     with pytest.raises(OracleSizeLimitError, match=f"row 3 of n=6, p={p} "):
         solve_dp(gen_random_layered_monge(6, p, seed=1))
     assert len(solvers._GRAPHS) == 2
-    for (gp, clip, raw), g in solvers._GRAPHS.items():
+    for i, (gp, clip, raw), g, _ in chain(solvers._GRAPHS, 6, p, rows=2):
         assert g.sigs.shape[0] == 2
         words = np.frombuffer(raw, dtype=np.int64).reshape(2, -1)
         want = ConcatRowGraph(gp, clip, packed_sigs(words, p))
+        assert g.states == want.starts.size
+        assert np.array_equal(packed_sigs(g.sigs, p), want.sigs)
+        want = cut_graph(want, packed_sigs(words, p), gp, 6 - i)
         for name in GRAPH_ARRAYS:
             a, b = getattr(flat_edges(g), name), getattr(want, name)
             if name == "sigs":
@@ -219,14 +274,15 @@ def test_multiword_row_graphs_match_a_python_int_build(monkeypatch, p):
             assert np.array_equal(a, b), name
 
 
-def check_tiles(g, cap):
+def check_tiles(g, cap, sources):
     """g's tiles: at most cap entries, or one column; together they hold
-    columns 0 .. S - 1 in order; each is as deep as its deepest column;
+    columns 0 .. S - 1 in order; src indexes sources states in the
+    narrowest type that holds them; each is as deep as its deepest column;
     pads repeat an in-edge of their own column; a graph of more than one
     tile puts its targets in order of in-degree, and back says where.
     flat_edges checks none of this: it drops the pads by counts alone."""
     S = g.counts.size
-    assert g.counts.min() >= 1
+    assert S == np.count_nonzero(g.swept) and g.counts.min() >= 1
     if g.back is None:
         assert len(g.tiles) == 1
     else:
@@ -241,7 +297,8 @@ def check_tiles(g, cap):
         d, m = src.shape
         assert c0 == end and m >= 1 and t.shape == (d, m)
         assert src.size <= cap or m == 1
-        assert src.dtype == np.int32 and t.dtype == np.min_scalar_type(len(g.flat) - 1)
+        assert src.dtype == np.min_scalar_type(sources - 1) and int(src.max()) < sources
+        assert t.dtype == np.min_scalar_type(len(g.flat) - 1)
         counts = g.counts[c0:c0 + m]
         assert counts.max() == d
         real = np.arange(d)[:, None] < counts
@@ -258,12 +315,12 @@ def test_row_graph_tiles_hold_at_most_the_entry_cap(monkeypatch):
     # With 1000 entries a tile, the wide rows of (7, 3) take several tiles
     # of each in-degree and the narrow ones one padded tile.
     monkeypatch.setattr(solvers, "_BLOCK_EDGES", 1000)
-    graphs = cached_graphs(monkeypatch, 7, 3).values()
-    for g in graphs:
-        check_tiles(g, 1000)
+    graphs = cached_graphs(monkeypatch, 7, 3)
+    for _, _, g, sources in chain(graphs, 7, 3):
+        check_tiles(g, 1000, sources)
         single = g.counts.size * g.counts.max() <= 1000
         assert (g.back is None) == single
-    assert {g.back is None for g in graphs} == {True, False}
+    assert {g.back is None for g in graphs.values()} == {True, False}
 
 
 @pytest.mark.parametrize("p, top", [(1, 12), (2, 12), (3, 12), (4, 6)])
@@ -275,11 +332,14 @@ def test_tiles_hold_the_oracle_in_edges_in_order(p, top):
         sigs = np.array([_pack_sig(_init_sig(n, p), p)], dtype=np.int64)
         for i in range(1, n + 1):
             clip = _row_clip(i, n, p)
-            key = (clip, sigs.tobytes())
+            key = (clip, min(n - i, p), sigs.tobytes())
             if key not in done:
                 g = solvers._RowGraph(p, clip, sigs[None, :])
-                check_tiles(g, solvers._BLOCK_EDGES)
-                want = cut_graph(ConcatRowGraph(p, clip, sigs), p)
+                sources = int(np.count_nonzero(live_targets(sigs, p, n - i + 1)))
+                check_tiles(g, solvers._BLOCK_EDGES, sources)
+                want = ConcatRowGraph(p, clip, sigs)
+                assert np.array_equal(g.sigs[0], want.sigs[counted_targets(want.sigs, p)])
+                want = cut_graph(want, sigs, p, n - i)
                 for name in GRAPH_ARRAYS:
                     a, b = getattr(flat_edges(g), name), getattr(want, name)
                     if name == "sigs":
@@ -299,12 +359,12 @@ def test_sweep_reads_the_graphs_without_copying_them(monkeypatch, n, p):
             for key, g in graphs.items()}
     solve_dp(gen_random_layered_monge(n, p, seed=1))
     assert set(graphs) == set(held)
-    for key, g in graphs.items():
+    for _, key, g, sources in chain(graphs, n, p):
         nbytes, tiles = held[key]
         assert g.nbytes == nbytes
         assert all(a is b for a, b in zip(tiles, (a for _, src, t in g.tiles for a in (src, t))))
         for _, src, t in g.tiles:
-            assert src.dtype == np.int32
+            assert src.dtype == np.min_scalar_type(sources - 1)
             assert t.dtype == np.min_scalar_type(len(g.flat) - 1)
 
 

@@ -241,7 +241,7 @@ def test_swept_costs_carry_each_row_potential(monkeypatch, n, p, rows):
         want = kept["oracle"][i - 1] + np.array(potentials(C, i, sigs), dtype=np.int64)
         assert np.array_equal(kept["potential"][i - 1], want), i
         g = _next_graph(g, p, _row_clip(i, n, p), sigs)
-        sigs = g.sigs
+        sigs = g.sigs[:, g.swept]  # the next row's swept states, which it keeps
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
