@@ -14,7 +14,8 @@ processes.  The kinds of call are:
   states_explored or, when the DP refuses the instance, the refusal message;
   each side also reports, for its first solve, the states and the in-edges
   that its row sweeps read, summed over the rows (read from the row graphs
-  that the solve cached: a graph's counts, one per swept target);
+  that the solve cached: a graph's counts, one per swept target), and the
+  MiB that the graph cache holds after it;
 - ties: solve_dp with all_optima_in_band on the zero array, where every
   in-band rectangle is optimal, with a seeded decomposable shift at p = 2,
   whose answer is the optimum, the count and the listed optima or, when
@@ -34,8 +35,8 @@ repeat by repeat, and the side that leads alternates from one repeat to the
 next (parent, change, change, parent, ...): on a shared host the first of
 two back-to-back processes can run slower.  Points with one process per side
 alternate the leading side by grid index instead.  A point with no warm calls
-reports warm_s as null.  states_explored, swept_states and swept_edges are
-reported for dp points that solve.
+reports warm_s as null.  states_explored, swept_states, swept_edges and
+graph_cache_mib are reported for dp points that solve.
 """
 
 from __future__ import annotations
@@ -137,14 +138,16 @@ def call(seed):
     return time.process_time() - t0, answer
 
 def swept():
-    # The graphs of the last solve, walked through the cache from row 1.
+    # The graphs of the last solve, found again row by row through
+    # _next_graph, which returns the cached ones, and the cache's size.
     from p3ap import solvers
-    raw = solvers._words([solvers._pack_sig(solvers._init_sig(n, p), p)], p, 4 * p - 4)
-    raw, states, edges = raw.tobytes(), 0, 0
+    g, states, edges = None, 0, 0
+    sigs = solvers._words([solvers._pack_sig(solvers._init_sig(n, p), p)], p, 4 * p - 4)
     for i in range(1, n + 1):
-        g = solvers._GRAPHS[(p, solvers._row_clip(i, n, p), raw)]
-        states, edges, raw = states + g.counts.size, edges + int(g.counts.sum()), g.sig_bytes
-    return {"swept_states": states, "swept_edges": edges}
+        g = solvers._next_graph(g, p, solvers._row_clip(i, n, p), sigs)
+        states, edges = states + g.counts.size, edges + int(g.counts.sum())
+    cache = sum(h.nbytes for h in solvers._GRAPHS.values()) / 2 ** 20
+    return {"swept_states": states, "swept_edges": edges, "graph_cache_mib": round(cache, 2)}
 
 times, answers, graph = [], [], None
 for k in range(1 + warm):

@@ -177,32 +177,31 @@ def solve_dp(
     every p.  A row's states and transitions depend only on p, on how far its
     window is clipped by the array's edges and on the incoming states, never
     on the costs, so each row's transition graph is built once per process
-    and cached, keyed by p, the clipping and the incoming signature bytes.  A
-    graph cuts the targets that no next row can extend, with their in-edges,
-    yet counts them: state_counts and states_explored count every state of
-    every row, as the reference engine does.  Of the states it keeps, it
-    sweeps only those that can still be completed (_can_finish): every state
-    on a path to the final one is swept.  A signature is one int64 word for
-    p <= 4 and two or more from p = 5 (see _RowGraph).  A solve makes one
-    gather per edge: each state's cost carries its row's potential (see
-    _solve_dp_graph), so a row gathers its incoming costs with np.take on
-    the graph's narrow sources and takes each target's minimum.  It does so
-    tile by tile: the in-edges are stored as dense (in-degree, targets)
-    tiles of at most 2^15 entries, each swept by one gather and one minimum
-    over its columns, and one more gather puts the minima back in signature
-    order (see _RowGraph); a graph of several tiles gathers the row's
-    narrow kept costs (see _keep).  The potentials move all in-edges of a
-    target by one constant, so the minima, the witness and the ties fall
-    where the placement costs put them.  Each cost compared sums at most n * p
-    entries, every cell of the columns up to i+2p-2 once, filled or empty,
-    so CostArray's bound keeps it within int64.  Each row keeps its
-    incoming costs (see _keep); from them the witness takes each traced
-    state's first minimal in-edge, and all_optima_in_band finds the minimal
-    in-edges of every row again.
+    and cached, keyed by p, the clipping and the incoming states' signature
+    and tile-column bytes.  A graph cuts the targets that no next row can
+    extend, with their in-edges, yet counts them: state_counts and
+    states_explored count every state of every row, as the reference engine
+    does.  Of the states it keeps, it sweeps only those that can still be
+    completed (_can_finish): every state on a path to the final one is
+    swept.  A signature is one int64 word for p <= 4 and two or more from
+    p = 5 (see _RowGraph).  A solve makes one gather per edge: each state's
+    cost carries its row's potential (see _solve_dp_graph), so a row gathers
+    its incoming costs with np.take on the graph's narrow sources and takes
+    each target's minimum, one dense (in-degree, targets) tile at a time.
+    A row's states live in the order of the tiles' columns, so the minima
+    are the next row's costs as they come (see _RowGraph); a graph of
+    several tiles gathers the row's narrow kept costs (see _keep).  The
+    potentials move all in-edges of a target by one constant, so the
+    minima, the witness and the ties fall where the placement costs put
+    them.  Each cost compared sums at most n * p entries, every cell of the
+    columns up to i+2p-2 once, filled or empty, so CostArray's bound keeps
+    it within int64.  Each row keeps its incoming costs (see _keep); from
+    them the witness takes each traced state's first minimal in-edge, and
+    all_optima_in_band finds the minimal in-edges of every row again.
     "reference" is the plain dict-based version, the test oracle.  Both
-    retain states in increasing packed-signature order and break cost ties
-    toward the earlier (predecessor order, then placement order) candidate,
-    so they produce identical reports: all_optima_in_band lists the same
+    break cost ties toward the earlier candidate in (predecessor signature,
+    then placement) order, whatever order a row holds its states in, so
+    they produce identical reports: all_optima_in_band lists the same
     optima in the same order, depth first in "reference" and in bulk in the
     graph engine.  Both raise OracleSizeLimitError (CLI exit 3) before a row
     whose incoming states times placements exceeds 2^27, such as row 3 of an
@@ -368,28 +367,31 @@ class _RowGraph:
     """Cost-free transitions of one row, in window-relative coordinates.
 
     An edge leads from an incoming state src through a placement t to a
-    target state.  The targets are in increasing signature order; the
-    in-edges of each are in order of src, and for a given source and
-    target the placement is unique, so this is also the tie-break order.
-    sig_bytes, the bytes of the target signatures, keys the next row's
-    graph, and sigs is a read-only view of it.  cols holds, as cost-free
-    data for the sweep's row potentials, each signature byte that carries
-    slots (_sig_bytes) in one uint8 row per byte.
+    target state.  The in-edges of a target are in signature order of src,
+    and for a given source and target the placement is unique, so this is
+    also the tie-break order.  sig_bytes, the bytes of the target
+    signatures in increasing order, keys the next row's graph, and sigs is
+    a read-only view of it.
 
-    The edges are stored as in-degree tiles.  tiles is a list of (c0, src,
-    t): src is a (d, m) matrix of sources, t the matching matrix of
-    placements, and column j holds the in-edges of the target in column
-    c0 + j, in tie order, in its first counts[c0 + j] rows.  The sweep takes
-    one gather and one minimum over axis 0 per tile.  A graph whose S swept
-    targets and largest in-degree D have S * D <= _BLOCK_EDGES is one tile
-    in signature order, and back is None: every p <= 2 row is.  Each column
-    is padded to depth D by repeating its last in-edge, which changes
-    neither its minimum nor its first minimal in-edge, and no pad counts as
-    a tie.  Any other graph orders its targets by in-degree, stably, and
-    cuts each run of one in-degree d into tiles of _BLOCK_EDGES // d targets
-    (at least one); those tiles have no pads, and the target of signature
-    index s is in column back[s]: one gather puts a row's minima back in
-    signature order.
+    The edges are stored as in-degree tiles, and a row's swept states live
+    in the order of the tiles' columns: the swept targets by in-degree,
+    stably, so by signature within one in-degree.  col, a read-only view of
+    col_bytes, gives the column of each target in signature order (0 for
+    those not swept, which is never read); the next graph numbers its
+    sources by it, and it keys that graph with sig_bytes.  tiles is a list
+    of (c0, src, t): src is a (d, m) matrix of sources, t the matching
+    matrix of placements, and column j holds the in-edges of the target in
+    column c0 + j, in tie order, in its first counts[c0 + j] rows.  A column
+    is padded to the tile's depth by repeating its last in-edge, which
+    changes neither its minimum nor its first minimal in-edge, and no pad
+    counts as a tie.  The sweep takes one gather and one minimum over axis
+    0 per tile, which give the targets' costs in state order.  A graph whose
+    S swept targets and largest in-degree D have S * D <= _BLOCK_EDGES is
+    one tile: every p <= 2 row is.  Any other graph cuts each run of one
+    in-degree d into tiles of _BLOCK_EDGES // d targets (at least one),
+    which need no pads.  cols holds, as cost-free data for the sweep's row
+    potentials, each signature byte that carries slots (_sig_bytes) of the
+    swept targets, in state order, in one uint8 row per byte.
 
     A signature is W int64 words, and sigs has shape (W, S): slot t goes in
     word t // cpw at bit p * (t % cpw), cpw = 63 // p.  W = 1 for p <= 4, the
@@ -402,21 +404,21 @@ class _RowGraph:
     lexsort on (src, words), most significant word last, gives increasing
     packed-signature order.  The sorted edges' src and t are gathered into
     the tiles, one tile at a time, and then freed.  A tile's src takes the
-    smallest unsigned type that numbers its graph's sources (uint8 for
-    p <= 2, up to uint32 from p = 3) and t the smallest that holds a
-    placement (uint8 for p <= 2, uint16 for p = 3 and 4): the sweep gathers
-    through src with take, and the traceback and the listing read t only on
-    minimal edges.
+    type of in_col, the smallest unsigned type that numbers the row
+    before's swept states (uint8 for p <= 2, up to uint32 from p = 3), and
+    t the smallest that holds a placement (uint8 for p <= 2, uint16 for
+    p = 3 and 4): the sweep gathers through src with take, and the
+    traceback and the listing read t only on minimal edges.
 
     A target's slot 0 is the column that the next row must complete, with
     one cell at most.  When it misses two or more layers the target has no
     out-edge, and the packed build cuts it with its in-edges: about 36 % of
     the edges of a p = 3 row.  The graph's arrays hold the kept targets
-    only, in the same order, and they are the next row's sources.  states
-    counts every target, the cut ones included; that is the row's state
-    count in a report and the incoming count that the next row's size limit
-    reads, as in the reference engine.  A cut target has no out-edge, so
-    the next graph has the same targets and edges as if nothing were cut.
+    only, and they are the next row's sources.  states counts every target,
+    the cut ones included; that is the row's state count in a report and
+    the incoming count that the next row's size limit reads, as in the
+    reference engine.  A cut target has no out-edge, so the next graph has
+    the same targets and edges as if nothing were cut.
 
     Of the kept targets, the tiles hold the swept ones alone: those that
     pass the completion rule of _can_finish, which swept marks in signature
@@ -425,12 +427,10 @@ class _RowGraph:
     as before.  A target's slot t is its source's slot t + 1, one row on,
     with at most one cell more, so a target that passes the rule has only
     sources that passed the row before's, and its in-edges all lie within
-    the swept states.  The tiles number their sources among those: the
-    incoming states that pass the rule, read from the clipping alone, as
-    the row before does, so the cache key still fixes the graph.
+    the swept states: in_col, the row before's col, numbers every one.
     """
 
-    def __init__(self, p: int, clip, in_sigs: np.ndarray):
+    def __init__(self, p: int, clip, in_sigs: np.ndarray, in_col: np.ndarray):
         lclip, rclip = clip
         full = (1 << p) - 1
         width = 4 * p - 4
@@ -547,49 +547,48 @@ class _RowGraph:
             del order
         del key, part  # part is a view of key
         # src and t are now sorted by (target signature, src), and a
-        # target's in-edges run from its starts to the next target's.  The
-        # tiles hold the swept targets alone, with their sources numbered
-        # among the incoming states that the row before swept, through rank.
+        # target's in-edges run from its starts to the next target's.  tgts
+        # lists the swept targets in column order: by in-degree, stably.
         self.swept = _can_finish(sigs, p, rclip)
-        rank = np.cumsum(_can_finish(in_sigs, p, max(rclip - 1, 0))) - 1
-        rank = rank.astype(np.min_scalar_type(rank[-1]))
         live = np.flatnonzero(self.swept)
         counts = np.diff(np.append(starts, E))[live]
-        starts = starts[live]
-        S = starts.size
-        if S * int(counts.max()) <= _BLOCK_EDGES:
-            tgts, cuts, self.back = np.arange(S), [0], None
+        tgts = live[np.argsort(counts, kind="stable")]
+        self.counts = counts = np.sort(counts)
+        S = tgts.size
+        col = np.zeros(self.swept.size, dtype=np.min_scalar_type(S - 1))
+        col[tgts] = np.arange(S)
+        if S * int(counts[-1]) <= _BLOCK_EDGES:
+            cuts = [0]
         else:
-            tgts = np.argsort(counts, kind="stable")
-            self.back = np.empty(S, dtype=np.int32)
-            self.back[tgts] = np.arange(S, dtype=np.int32)
             # Each run of one in-degree d is cut every _BLOCK_EDGES // d targets.
-            deg = counts[tgts]
-            runs = np.flatnonzero(np.diff(deg, prepend=0, append=deg[-1] + 1)).tolist()
+            runs = np.flatnonzero(np.diff(counts, prepend=0, append=counts[-1] + 1)).tolist()
             cuts = [c for a, b in zip(runs[:-1], runs[1:])
-                    for c in range(a, b, max(1, _BLOCK_EDGES // int(deg[a])))]
-        self.counts = counts[tgts]
+                    for c in range(a, b, max(1, _BLOCK_EDGES // int(counts[a])))]
         self.tiles = []
         for c0, c1 in zip(cuts, cuts[1:] + [S]):
-            at = tgts[c0:c1]
-            # Row r holds each column's r-th in-edge; in the padded tile a
-            # column past its in-degree repeats its last one.
-            e = starts[at] + np.arange(self.counts[c0:c1].max())[:, None]
-            if self.back is None:
-                np.minimum(e, starts[at] + counts[at] - 1, out=e)
-            self.tiles.append((c0, rank.take(src.take(e)), t.take(e)))
+            at = starts[tgts[c0:c1]]
+            # Row r holds each column's r-th in-edge, or its last one past
+            # its in-degree.
+            e = np.minimum(at + np.arange(counts[c1 - 1])[:, None], at + counts[c0:c1] - 1)
+            self.tiles.append((c0, in_col.take(src.take(e)), t.take(e)))
         del src, t
-        self.cols = _sig_cols(sigs[:, live], p)
-        held = [self.flat, self.counts, sigs, self.cols, self.swept]
+        self.cols = _sig_cols(sigs[:, tgts], p)
+        held = [self.flat, counts, sigs, self.cols, self.swept, col]
         held += [a for _, src, t in self.tiles for a in (src, t)]
-        held += [] if self.back is None else [self.back]
         self.nbytes = sum(a.nbytes for a in held)
         self.sig_bytes = sigs.tobytes()
+        self.col_bytes = col.tobytes()
 
     @property
     def sigs(self) -> np.ndarray:
         """The target signatures, shape (W, S): a read-only view of sig_bytes."""
         return np.frombuffer(self.sig_bytes, np.int64).reshape(-1, self.swept.size)
+
+    @property
+    def col(self) -> np.ndarray:
+        """Each target's tile column, in signature order: a read-only view of
+        col_bytes."""
+        return np.frombuffer(self.col_bytes, np.min_scalar_type(self.counts.size - 1))
 
 
 # A tile holds at most this many entries, edges and pads, unless it is one
@@ -622,9 +621,9 @@ def _check_row_size(n: int, p: int, i: int, states: int, clip) -> None:
         )
 
 
-# Row graphs keyed by (p, clipping, incoming signature bytes): the previous
-# graph's sig_bytes.  Interior rows of every instance with the same p share
-# one graph, so the cache stays small: all graphs of p = 3 hold about 8.1 M
+# Row graphs keyed by (p, clipping, the previous graph's sig_bytes and
+# col_bytes).  Interior rows of every instance with the same p share one
+# graph, so the cache stays small: all graphs of p = 3 hold about 8.1 M
 # swept edges and 52 MiB.  Past _GRAPH_CACHE_BYTES it is emptied before the
 # next insertion; no graph refers to another, so the evicted ones are freed.
 _GRAPH_CACHE_BYTES = 256 << 20
@@ -633,14 +632,21 @@ _GRAPHS: dict = {}
 
 def _next_graph(prev: Optional[_RowGraph], p: int, clip, in_sigs: np.ndarray) -> _RowGraph:
     """The graph of the row after prev, whose targets are its incoming
-    states; in_sigs gives them only for the first row, where prev is None."""
-    key = (p, clip, in_sigs.tobytes() if prev is None else prev.sig_bytes)
+    states; in_sigs gives them only for the first row, where prev is None
+    and the one incoming state is column 0."""
+    if prev is None:
+        in_col = np.zeros(1, dtype=np.uint8)
+        key = (p, clip, in_sigs.tobytes(), in_col.tobytes())
+    else:
+        key = (p, clip, prev.sig_bytes, prev.col_bytes)
     g = _GRAPHS.get(key)
     if g is None:
-        g = _RowGraph(p, clip, in_sigs if prev is None else prev.sigs)
-        if g.sig_bytes == key[2]:
+        if prev is not None:
+            in_sigs, in_col = prev.sigs, prev.col
+        g = _RowGraph(p, clip, in_sigs, in_col)
+        if (g.sig_bytes, g.col_bytes) == key[2:]:
             # As for the interior graphs: the next lookup compares by identity.
-            g.sig_bytes = key[2]
+            g.sig_bytes, g.col_bytes = key[2:]
         if sum(h.nbytes for h in _GRAPHS.values()) + g.nbytes > _GRAPH_CACHE_BYTES:
             _GRAPHS.clear()
         _GRAPHS[key] = g
@@ -668,9 +674,9 @@ def _solve_dp_graph(C: CostArray):
     cols = _sig_cols(sigs, p)
     costs = np.zeros(1, dtype=np.int64)
     kept = []  # per row: its graph and _keep(incoming adjusted costs)
-    # The bytes of a row's minima in tile order, reused from row to row: a
-    # fresh array a row, freed after the gather through back, fragmented the
-    # heap of long solves (330 against 302 MB of peak RSS at n = 1000, p = 3).
+    # The bytes of a row's narrow minima, reused from row to row: a fresh
+    # array a row fragmented the heap of long solves (330 against 302 MB of
+    # peak RSS at n = 1000, p = 3).
     buf = np.empty(0, dtype=np.uint8)
     state_counts = [1]
     for i in range(1, n + 1):
@@ -679,22 +685,21 @@ def _solve_dp_graph(C: CostArray):
         g = _next_graph(g, p, clip, sigs)
         for tab, col in zip(tabs[i - 1], cols):
             costs += tab.take(col)
-        # Each tile's column minima.  A graph of one tile sweeps the int64
-        # costs.  A graph of several sweeps the narrow kept copy, offsets
-        # from the costs' minimum lo, and back returns its minima to
-        # signature order, where lo is added back.
+        # Each tile's column minima, in state order.  A graph of one tile
+        # sweeps the int64 costs.  A graph of several sweeps the narrow kept
+        # copy, offsets from the costs' minimum lo, which is added back.
         prev = _keep(costs)
-        if g.back is None:
+        if len(g.tiles) == 1:
             out = np.minimum.reduce(costs.take(g.tiles[0][1]), 0)
         else:
-            lo = int(costs[0]) - int(prev[0])
-            if buf.size < g.back.size * 8:
-                buf = np.empty(g.back.size * 8, dtype=np.uint8)
-            mins = buf[:g.back.size * prev.itemsize].view(prev.dtype)
+            S = g.counts.size
+            if buf.size < S * 8:
+                buf = np.empty(S * 8, dtype=np.uint8)
+            mins = buf[:S * prev.itemsize].view(prev.dtype)
             for c0, src, _ in g.tiles:
                 np.minimum.reduce(prev.take(src), 0, out=mins[c0:c0 + src.shape[1]])
-            out = mins.take(g.back).astype(np.int64)
-            out += lo
+            out = mins.astype(np.int64)
+            out += int(costs[0]) - int(prev[0])
         kept.append((g, prev))
         costs, cols = out, g.cols
         state_counts.append(g.states)
@@ -709,13 +714,12 @@ def _solve_dp_graph(C: CostArray):
     # argmin returns the first minimum, and a column's pads follow its edges.
     placements, state = [None] * n, 0
     for i, (g, prev) in zip(range(n, 0, -1), kept[::-1]):
-        j = state if g.back is None else int(g.back[state])
         for c0, src, t in g.tiles:
-            if j < c0 + src.shape[1]:
+            if state < c0 + src.shape[1]:
                 break
-        col = src[:, j - c0]
+        col = src[:, state - c0]
         e = int(np.argmin(prev.take(col)))
-        placements[i - 1] = (g.flat[t[e, j - c0]] // p + (i - 2 * p + 2)).tolist()
+        placements[i - 1] = (g.flat[t[e, state - c0]] // p + (i - 2 * p + 2)).tolist()
         state = int(col[e])
     return optimum, placements, state_counts, lambda: _list_optima(kept, n, p)
 
@@ -741,27 +745,25 @@ def _list_optima(kept, n: int, p: int) -> list:
 
     Each row's sweep runs again, tile by tile, over its kept (graph,
     incoming adjusted costs) to find its minimal in-edges, pads left out:
-    those of tile column c are ties[i - 1] = (first, src, t, back) from
-    first[c] to first[c + 1], in tie order, where first is the running sum
-    of the columns' tie counts, and state s is column back[s] (s itself
-    when back is None).  The same pass counts forward, over those ties, the
-    optimal paths into every state: in int64 while a row's sums stay below
-    2^62, and in exact Python ints after that.  The final state's count
-    meets the listing cap before anything is listed.  Paths grow breadth
-    first from the final state 0, children in tie order, which keeps the
-    depth-first order; then a walk back through the parents scatters the
-    placements into the rows of up to _LIST_CHUNK rectangles at a time,
-    which _latin_rectangles checks in one numpy pass per chunk."""
+    those of state s, its tile column, are ties[i - 1] = (first, src, t)
+    from first[s] to first[s + 1], in tie order, where first is the running
+    sum of the columns' tie counts.  The same pass counts forward, over
+    those ties, the optimal paths into every state: in int64 while a row's
+    sums stay below 2^62, and in exact Python ints after that.  The final
+    state's count meets the listing cap before anything is listed.  Paths
+    grow breadth first from the final state 0, children in tie order, which
+    keeps the depth-first order; then a walk back through the parents
+    scatters the placements into the rows of up to _LIST_CHUNK rectangles
+    at a time, which _latin_rectangles checks in one numpy pass per chunk."""
     ties, ways = [], np.ones(1, dtype=np.int64)
     for g, prev in kept:
         hits, tied = [], []
         for c0, src, t in g.tiles:
             cand = prev.take(src)
             tie = cand == np.minimum.reduce(cand, 0)
-            if g.back is None:
-                # Column j's pads lie below its counts[j] in-edges and never
-                # tie; only a graph of one tile has pads.
-                tie &= np.arange(len(tie))[:, None] < g.counts
+            # Column j's pads lie below its counts[c0 + j] in-edges and
+            # never tie.
+            tie &= np.arange(len(tie))[:, None] < g.counts[c0:c0 + src.shape[1]]
             # Column by column, each in tie order: h = j * d + r indexes
             # the transposed tile, r * m + j the tile.
             d, m = tie.shape
@@ -776,16 +778,13 @@ def _list_optima(kept, n: int, p: int) -> list:
         if ways.dtype != object and int(ways.max()) * int(g.counts.max()) >> 62:
             ways = ways.astype(object)
         ways = np.add.reduceat(ways.take(src), first[:-1])
-        if g.back is not None:
-            ways = ways.take(g.back)
-        ties.append((first, src, t, g.back))
+        ties.append((first, src, t))
 
     total = _check_optima(int(ways[0]), n, p)
     levels, state = [], np.array([0])
-    for first, src, t, back in reversed(ties):
-        col = state if back is None else back.take(state)
-        lo = first[col]
-        k = first[1:].take(col) - lo  # col + 1 could wrap a narrow col
+    for first, src, t in reversed(ties):
+        lo = first[state]
+        k = first[1:].take(state) - lo  # state + 1 could wrap a narrow state
         parent = np.repeat(np.arange(state.size), k)
         e = np.arange(parent.size) + np.repeat(lo - (np.cumsum(k) - k), k)
         state = src[e]

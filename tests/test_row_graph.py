@@ -3,7 +3,8 @@
 ConcatRowGraph is the former _RowGraph build, kept verbatim as the oracle:
 it concatenates each placement's edges and orders them with an argsort.
 flat_edges decodes a graph's in-degree tiles into the oracle's flat layout,
-and cut_graph cuts the oracle's graph to the targets that a row sweeps.
+in the graph's state order, and cut_graph cuts the oracle's graph to the
+targets that a row sweeps and puts them in that order.
 """
 
 import itertools
@@ -81,12 +82,12 @@ _FLAT = weakref.WeakKeyDictionary()
 
 
 def flat_edges(g):
-    """g's in-edges as the flat arrays of GRAPH_ARRAYS: src and t sorted by
-    (target signature, src), and each swept target's signature and its
-    starts and counts into them.
+    """g's in-edges as the flat arrays of GRAPH_ARRAYS, in g's state order:
+    src and t target by target, in tie order, and each swept target's
+    signature and its starts and counts into them.
 
-    Column c of the tiles holds the in-edges of target c, or of the target j
-    with back[j] = c, in its first counts[c] rows; the rows below are pads."""
+    Column c of the tiles holds the in-edges of the target j with col[j] =
+    c, in its first counts[c] rows; the rows below are pads."""
     view = _FLAT.get(g)
     if view is None:
         src, t = [], []
@@ -94,15 +95,11 @@ def flat_edges(g):
             real = (np.arange(len(s))[:, None] < g.counts[c0:c0 + s.shape[1]]).T
             src.append(s.T[real])
             t.append(tt.T[real])
-        S = g.counts.size
-        target = np.arange(S) if g.back is None else np.argsort(g.back)
-        order = np.argsort(np.repeat(target, g.counts), kind="stable")
-        counts = np.empty_like(g.counts)
-        counts[target] = g.counts
+        swept = np.flatnonzero(g.swept)
         view = SimpleNamespace(
-            flat=g.flat, sigs=g.sigs[:, g.swept],
-            src=np.concatenate(src)[order], t=np.concatenate(t)[order],
-            starts=np.cumsum(counts) - counts, counts=counts,
+            flat=g.flat, sigs=g.sigs[:, swept[np.argsort(g.col[swept])]],
+            src=np.concatenate(src), t=np.concatenate(t),
+            starts=np.cumsum(g.counts) - g.counts, counts=g.counts,
         )
         _FLAT[g] = view
     return view
@@ -117,14 +114,21 @@ def cached_graphs(monkeypatch, n, p, seed=0):
 
 def chain(graphs, n: int, p: int, rows=None):
     """(i, key, g, sources) for rows i = 1 .. rows (default n) of an n-row
-    solve, walked through the graph cache from the first row's key; sources
-    is the count of states swept before row i, which g's tiles index."""
-    raw, sources = _words([_pack_sig(_init_sig(n, p), p)], p, 4 * p - 4).tobytes(), 1
+    solve, walked through the graph cache from the first row's key, whose
+    one incoming state is column 0; sources is the count of states swept
+    before row i, which g's tiles index."""
+    raw = _words([_pack_sig(_init_sig(n, p), p)], p, 4 * p - 4).tobytes()
+    col, sources = np.zeros(1, dtype=np.uint8).tobytes(), 1
     for i in range(1, (rows or n) + 1):
-        key = (p, _row_clip(i, n, p), raw)
+        key = (p, _row_clip(i, n, p), raw, col)
         g = graphs[key]
         yield i, key, g, sources
-        raw, sources = g.sig_bytes, int(np.count_nonzero(g.swept))
+        raw, col, sources = g.sig_bytes, g.col_bytes, int(np.count_nonzero(g.swept))
+
+
+def in_columns(key, sources):
+    """The incoming states' columns that a chain key holds."""
+    return np.frombuffer(key[3], dtype=np.min_scalar_type(sources - 1))
 
 
 def counted_targets(sigs, p: int) -> np.ndarray:
@@ -149,23 +153,30 @@ def live_targets(sigs, p: int, left: int) -> np.ndarray:
     return ok
 
 
-def cut_graph(want, in_sigs, p: int, left: int):
+def state_order(starts, counts):
+    """Targets with in-edges from starts, counts many, in the order of a
+    row's states: by in-degree, stably.  Gives that order and the indices
+    of their in-edges in it."""
+    order = np.argsort(counts, kind="stable")
+    c = counts[order]
+    return order, np.repeat(starts[order] - (np.cumsum(c) - c), c) + np.arange(c.sum())
+
+
+def cut_graph(want, in_sigs, p: int, left: int, in_col):
     """want, a ConcatRowGraph built on in_sigs for a row with left rows
-    below it, as _RowGraph sweeps it: the live targets alone, with their
-    in-edges, whose sources all finish too and are numbered among the
-    incoming states that finish, in the narrowest type that holds them."""
-    edges = np.repeat(live_targets(want.sigs, p, left), want.counts)
-    sig = np.repeat(want.sigs, want.counts)[edges]
+    below it, as _RowGraph sweeps it: the live targets alone, in state
+    order, with their in-edges, whose sources all finish too and are
+    numbered by in_col, their columns in the row before, in the narrowest
+    type that numbers the incoming states that finish."""
+    live = live_targets(want.sigs, p, left)
     fin = live_targets(in_sigs, p, left + 1)
-    assert fin[want.src[edges]].all()
-    rank = np.cumsum(fin) - 1
-    want.src = rank[want.src[edges]].astype(np.min_scalar_type(rank[-1]))
+    assert fin[want.src[np.repeat(live, want.counts)]].all()
+    order, edges = state_order(want.starts[live], want.counts[live])
+    want.src = in_col[want.src[edges]].astype(np.min_scalar_type(np.count_nonzero(fin) - 1))
     want.t = want.t[edges]
-    first = np.ones(sig.size, dtype=bool)
-    first[1:] = sig[1:] != sig[:-1]
-    want.starts = np.flatnonzero(first)
-    want.counts = np.diff(np.append(want.starts, sig.size))
-    want.sigs = sig[want.starts]
+    want.counts = want.counts[live][order]
+    want.starts = np.cumsum(want.counts) - want.counts
+    want.sigs = want.sigs[live][order]
     return want
 
 
@@ -176,13 +187,14 @@ def test_row_graphs_match_concatenate_build(monkeypatch, n, p):
     graphs = cached_graphs(monkeypatch, n, p)
     assert graphs
     walked = set()
-    for i, (gp, clip, raw), g, _ in chain(graphs, n, p):
-        walked.add((gp, clip, raw))
+    for i, key, g, sources in chain(graphs, n, p):
+        walked.add(key)
+        gp, clip, raw, _ = key
         in_sigs = np.frombuffer(raw, dtype=np.int64)
         want = ConcatRowGraph(gp, clip, in_sigs)
         assert g.states == want.starts.size
         assert np.array_equal(g.sigs[0], want.sigs[counted_targets(want.sigs, gp)])
-        want = cut_graph(want, in_sigs, gp, n - i)
+        want = cut_graph(want, in_sigs, gp, n - i, in_columns(key, sources))
         for name in GRAPH_ARRAYS:
             a, b = getattr(flat_edges(g), name), getattr(want, name)
             if name == "sigs":
@@ -192,13 +204,15 @@ def test_row_graphs_match_concatenate_build(monkeypatch, n, p):
     assert walked == set(graphs)
 
 
-def check_cut_row(p: int, clip, left: int, full_in, kept_in, swept_in, cut, dead):
+def check_cut_row(p: int, clip, left: int, full_in, kept_in, in_col, swept_in, cut, dead):
     """Builds one row, with left rows below it, from all incoming states
-    with ConcatRowGraph and from the kept ones with _RowGraph, checks the
-    cuts against the former and gives the next row's (all, kept, swept)
-    incoming states and which of all were cut and which are dead."""
+    with ConcatRowGraph and from the kept ones, whose columns are in_col,
+    with _RowGraph, checks the cuts against the former and gives the next
+    row's (all, kept) incoming states, the columns of the kept ones, the
+    swept ones in column order, and which of all were cut and which are
+    dead."""
     want = ConcatRowGraph(p, clip, full_in)
-    g = solvers._RowGraph(p, clip, kept_in[None, :])
+    g = solvers._RowGraph(p, clip, kept_in[None, :], in_col)
     got = flat_edges(g)
     # The states that the previous row cut have no out-edge here, and those
     # that it left unswept lead to targets that this row leaves unswept.
@@ -211,13 +225,14 @@ def check_cut_row(p: int, clip, left: int, full_in, kept_in, swept_in, cut, dead
     assert np.array_equal(g.sigs[0], want.sigs[kept])
     assert np.array_equal(g.sigs[0][g.swept], want.sigs[alive])
     # Its swept edges are the oracle's edges into the live targets, in the
-    # oracle's order; only their sources are numbered among swept states.
-    edges = np.repeat(alive, want.counts)
+    # oracle's order within a target and in state order across them; only
+    # their sources are numbered by the swept states' columns.
+    edges = state_order(want.starts[alive], want.counts[alive])[1]
     assert np.array_equal(np.repeat(got.sigs[0], got.counts), want.sigs[target[edges]])
     assert got.src.dtype == np.min_scalar_type(swept_in.size - 1)
     assert np.array_equal(swept_in[got.src], full_in[want.src[edges]])
     assert np.array_equal(got.t, want.t[edges])
-    return want.sigs, g.sigs[0], got.sigs[0], ~kept, ~alive
+    return want.sigs, g.sigs[0], g.col, got.sigs[0], ~kept, ~alive
 
 
 @pytest.mark.parametrize("p, top", [(2, 12), (3, 12), (4, 6)])
@@ -226,9 +241,12 @@ def test_cut_targets_are_dead_and_kept_edges_keep_the_oracle_order(p, top):
     # same clipping, incoming states and rule) checked once.  Induction on
     # the rows: a dead state only leads to dead ones, and the last row's
     # one state is live, so no dead state has a completion.
+    # A row's columns depend only on its incoming states and rule, so
+    # they are the same on every such row, too.
     done = {}
     for n in range(p, top + 1):
         full_in = kept_in = swept_in = np.array([_pack_sig(_init_sig(n, p), p)], dtype=np.int64)
+        in_col = np.zeros(1, dtype=np.uint8)
         cut = dead = np.zeros(1, dtype=bool)
         for i in range(1, n + 1):
             clip = _row_clip(i, n, p)
@@ -236,8 +254,9 @@ def test_cut_targets_are_dead_and_kept_edges_keep_the_oracle_order(p, top):
             # is the same.
             key = (clip, min(n - i, p), full_in.tobytes())
             if key not in done:
-                done[key] = check_cut_row(p, clip, n - i, full_in, kept_in, swept_in, cut, dead)
-            full_in, kept_in, swept_in, cut, dead = done[key]
+                done[key] = check_cut_row(p, clip, n - i, full_in, kept_in, in_col, swept_in,
+                                          cut, dead)
+            full_in, kept_in, in_col, swept_in, cut, dead = done[key]
         assert full_in.size == kept_in.size == swept_in.size == 1 and not dead[0]
 
 
@@ -259,13 +278,14 @@ def test_multiword_row_graphs_match_a_python_int_build(monkeypatch, p):
     with pytest.raises(OracleSizeLimitError, match=f"row 3 of n=6, p={p} "):
         solve_dp(gen_random_layered_monge(6, p, seed=1))
     assert len(solvers._GRAPHS) == 2
-    for i, (gp, clip, raw), g, _ in chain(solvers._GRAPHS, 6, p, rows=2):
+    for i, key, g, sources in chain(solvers._GRAPHS, 6, p, rows=2):
+        gp, clip, raw, _ = key
         assert g.sigs.shape[0] == 2
         words = np.frombuffer(raw, dtype=np.int64).reshape(2, -1)
         want = ConcatRowGraph(gp, clip, packed_sigs(words, p))
         assert g.states == want.starts.size
         assert np.array_equal(packed_sigs(g.sigs, p), want.sigs)
-        want = cut_graph(want, packed_sigs(words, p), gp, 6 - i)
+        want = cut_graph(want, packed_sigs(words, p), gp, 6 - i, in_columns(key, sources))
         for name in GRAPH_ARRAYS:
             a, b = getattr(flat_edges(g), name), getattr(want, name)
             if name == "sigs":
@@ -276,22 +296,20 @@ def test_multiword_row_graphs_match_a_python_int_build(monkeypatch, p):
 
 def check_tiles(g, cap, sources):
     """g's tiles: at most cap entries, or one column; together they hold
-    columns 0 .. S - 1 in order; src indexes sources states in the
-    narrowest type that holds them; each is as deep as its deepest column;
-    pads repeat an in-edge of their own column; a graph of more than one
-    tile puts its targets in order of in-degree, and back says where.
-    flat_edges checks none of this: it drops the pads by counts alone."""
+    columns 0 .. S - 1 in order, one for each swept target, by in-degree
+    and then by signature, and col says which; src indexes sources states
+    in the narrowest type that holds them; each is as deep as its deepest
+    column; pads repeat the last in-edge of their own column.  flat_edges
+    checks none of this: it drops the pads by counts alone."""
     S = g.counts.size
     assert S == np.count_nonzero(g.swept) and g.counts.min() >= 1
-    if g.back is None:
-        assert len(g.tiles) == 1
-    else:
-        assert len(g.tiles) > 1 and g.back.dtype == np.int32
-        assert np.array_equal(np.sort(g.back), np.arange(S))
-        # By in-degree, and in signature order within one in-degree.
-        assert np.all(np.diff(g.counts) >= 0)
-        target = np.argsort(g.back)
-        assert np.all(np.diff(target)[np.diff(g.counts) == 0] > 0)
+    col = g.col[g.swept]
+    assert g.col.dtype == np.min_scalar_type(S - 1) and g.col.size == g.swept.size
+    assert np.array_equal(np.sort(col), np.arange(S))
+    # By in-degree, and in signature order within one in-degree.
+    assert np.all(np.diff(g.counts) >= 0)
+    target = np.argsort(col)
+    assert np.all(np.diff(target)[np.diff(g.counts) == 0] > 0)
     end = 0
     for c0, src, t in g.tiles:
         d, m = src.shape
@@ -301,12 +319,11 @@ def check_tiles(g, cap, sources):
         assert t.dtype == np.min_scalar_type(len(g.flat) - 1)
         counts = g.counts[c0:c0 + m]
         assert counts.max() == d
-        real = np.arange(d)[:, None] < counts
-        # Pad (r, j) equals some edge (k, j) of its column: the same source
-        # and placement.
-        edge = src.astype(np.int64) << 32 | t
-        same = (edge[:, None, :] == edge[None, :, :]) & real[None, :, :]
-        assert same.any(axis=1)[~real].all()
+        # Pad (r, j), r >= counts[j], equals edge (counts[j] - 1, j): the
+        # same source and placement.
+        last = np.minimum(np.arange(d)[:, None], counts - 1)
+        assert np.array_equal(src, np.take_along_axis(src, last, axis=0))
+        assert np.array_equal(t, np.take_along_axis(t, last, axis=0))
         end += m
     assert end == S
 
@@ -319,34 +336,35 @@ def test_row_graph_tiles_hold_at_most_the_entry_cap(monkeypatch):
     for _, _, g, sources in chain(graphs, 7, 3):
         check_tiles(g, 1000, sources)
         single = g.counts.size * g.counts.max() <= 1000
-        assert (g.back is None) == single
-    assert {g.back is None for g in graphs.values()} == {True, False}
+        assert (len(g.tiles) == 1) == single
+    assert {len(g.tiles) == 1 for g in graphs.values()} == {True, False}
 
 
 @pytest.mark.parametrize("p, top", [(1, 12), (2, 12), (3, 12), (4, 6)])
 def test_tiles_hold_the_oracle_in_edges_in_order(p, top):
-    # Every row of every n up to top, on the kept states of the row before,
-    # with rows that several n share checked once.
+    # Every row of every n up to top, on the kept states of the row before
+    # and their columns, with rows that several n share checked once.
     done = {}
     for n in range(p, top + 1):
         sigs = np.array([_pack_sig(_init_sig(n, p), p)], dtype=np.int64)
+        col = np.zeros(1, dtype=np.uint8)
         for i in range(1, n + 1):
             clip = _row_clip(i, n, p)
             key = (clip, min(n - i, p), sigs.tobytes())
             if key not in done:
-                g = solvers._RowGraph(p, clip, sigs[None, :])
+                g = solvers._RowGraph(p, clip, sigs[None, :], col)
                 sources = int(np.count_nonzero(live_targets(sigs, p, n - i + 1)))
                 check_tiles(g, solvers._BLOCK_EDGES, sources)
                 want = ConcatRowGraph(p, clip, sigs)
                 assert np.array_equal(g.sigs[0], want.sigs[counted_targets(want.sigs, p)])
-                want = cut_graph(want, sigs, p, n - i)
+                want = cut_graph(want, sigs, p, n - i, col)
                 for name in GRAPH_ARRAYS:
                     a, b = getattr(flat_edges(g), name), getattr(want, name)
                     if name == "sigs":
                         a = a.reshape(-1)
                     assert a.dtype == b.dtype and np.array_equal(a, b), (n, i, name)
-                done[key] = g.sigs[0]
-            sigs = done[key]
+                done[key] = g.sigs[0], g.col
+            sigs, col = done[key]
         assert sigs.size == 1
 
 
@@ -366,6 +384,41 @@ def test_sweep_reads_the_graphs_without_copying_them(monkeypatch, n, p):
         for _, src, t in g.tiles:
             assert src.dtype == np.min_scalar_type(sources - 1)
             assert t.dtype == np.min_scalar_type(len(g.flat) - 1)
+
+
+def test_graph_cache_key_carries_the_column_map(monkeypatch):
+    # Row 2 of (7, 3) built twice on the same incoming signatures, once on
+    # the columns of row 1's graph and once on a relabelling of them: two
+    # cache entries, whose sources differ by that relabelling alone.
+    monkeypatch.setattr(solvers, "_GRAPHS", {})
+    n, p = 7, 3
+    sigs = _words([_pack_sig(_init_sig(n, p), p)], p, 4 * p - 4)
+    first = solvers._next_graph(None, p, _row_clip(1, n, p), sigs)
+    relabel = np.random.default_rng(0).permutation(first.counts.size).astype(first.col.dtype)
+    assert (relabel != np.arange(relabel.size)).any()
+    other = SimpleNamespace(sig_bytes=first.sig_bytes, sigs=first.sigs,
+                            col_bytes=relabel[first.col].tobytes(), col=relabel[first.col])
+    clip = _row_clip(2, n, p)
+    a = solvers._next_graph(first, p, clip, sigs)
+    b = solvers._next_graph(other, p, clip, sigs)
+    assert a is not b and len(solvers._GRAPHS) == 3
+    assert solvers._next_graph(other, p, clip, sigs) is b
+    assert a.sig_bytes == b.sig_bytes and a.col_bytes == b.col_bytes
+    assert len(a.tiles) == len(b.tiles)
+    for (c0, src_a, t_a), (c1, src_b, t_b) in zip(a.tiles, b.tiles):
+        assert c0 == c1 and src_a.dtype == src_b.dtype
+        assert np.array_equal(relabel[src_a], src_b) and np.array_equal(t_a, t_b)
+
+
+def test_interior_graphs_reach_their_fixed_point(monkeypatch):
+    # An interior graph's key holds its sources' columns as well as their
+    # signatures, and the chain of clip (0, 0) still closes on itself: a
+    # cold (20, 3) solve builds three such graphs, and a longer one none.
+    graphs = cached_graphs(monkeypatch, 20, 3)
+    assert len(graphs) == 11
+    assert sum(clip == (0, 0) for _, clip, _, _ in graphs) == 3
+    solve_dp(gen_random_layered_monge(60, 3, seed=1))
+    assert sum(clip == (0, 0) for _, clip, _, _ in graphs) == 3
 
 
 REPORT_FIELDS = ("optimum", "solution", "all_optima", "optima_count",

@@ -5,8 +5,8 @@ as the oracle: each row adds its placement costs delta[t] along the edges
 before it takes the minima.  They run on the same cached row graphs as
 solve_dp, whose engine instead gathers costs plus row potentials, so every
 report must come out the same.  They read each graph's in-degree tiles
-through flat_edges, as the flat (signature, src)-ordered edge arrays that
-the graphs once held, and sweep a row as one block of them.
+through flat_edges, as flat edge arrays in the order of the row's states,
+and sweep a row as one block of them.
 """
 
 import numpy as np
@@ -241,7 +241,7 @@ def test_swept_costs_carry_each_row_potential(monkeypatch, n, p, rows):
         want = kept["oracle"][i - 1] + np.array(potentials(C, i, sigs), dtype=np.int64)
         assert np.array_equal(kept["potential"][i - 1], want), i
         g = _next_graph(g, p, _row_clip(i, n, p), sigs)
-        sigs = g.sigs[:, g.swept]  # the next row's swept states, which it keeps
+        sigs = flat_edges(g).sigs  # the next row's swept states, in its order
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])

@@ -479,7 +479,7 @@ def test_int64_kept_rows_match_the_sweep_of_every_kept_state(monkeypatch):
         # graphs' rows among them.
         del wide[:]
         solve_dp(C)
-        tiled = [g.back is not None for _, _, g in walk(solvers._GRAPHS, n, 3)]
+        tiled = [len(g.tiles) > 1 for _, _, g in walk(solvers._next_graph, n, 3)]
         assert any(w and t for w, t in zip(wide, tiled)), (seed, n)
 
 
@@ -492,15 +492,15 @@ def test_counterexamples_match_the_sweep_of_every_kept_state(monkeypatch, extra)
     assert isinstance(got[1], dict)
 
 
-def walk(graphs, n: int, p: int):
-    """(i, clip, g) for the rows i = 1 .. n of an n-row solve, through the
-    graph cache graphs from the first row's key."""
-    raw = _words([_pack_sig(_init_sig(n, p), p)], p, 4 * p - 4).tobytes()
+def walk(next_graph, n: int, p: int):
+    """(i, clip, g) for the rows i = 1 .. n of an n-row solve, through
+    next_graph, which finds in its graph cache the graphs that the solve
+    cached."""
+    g, sigs = None, _words([_pack_sig(_init_sig(n, p), p)], p, 4 * p - 4)
     for i in range(1, n + 1):
         clip = _row_clip(i, n, p)
-        g = graphs[(p, clip, raw)]
+        g = next_graph(g, p, clip, sigs)
         yield i, clip, g
-        raw = g.sig_bytes
 
 
 def coreachable(graphs) -> list:
@@ -528,8 +528,8 @@ def test_every_coreachable_state_is_swept(monkeypatch, p, top):
         C = gen_random_layered_monge(n, p, n)
         solve_dp(C)
         _solve_dp_graph(C)
-        old = [g for _, _, g in walk(_GRAPHS, n, p)]
-        new = [g for _, _, g in walk(solvers._GRAPHS, n, p)]
+        old = [g for _, _, g in walk(_next_graph, n, p)]
+        new = [g for _, _, g in walk(solvers._next_graph, n, p)]
         swept = []
         for i, (a, b, reach) in enumerate(zip(old, new, coreachable(old)), start=1):
             # The same kept states, of which the sweep reads a superset of
@@ -540,6 +540,6 @@ def test_every_coreachable_state_is_swept(monkeypatch, p, top):
         if (n, p) == (7, 3):
             assert swept == [60, 1950, 20136, 20148, 1950, 60, 1]
         if (n, p) == (12, 3):
-            interior = [s for (_, clip, _), s in zip(walk(solvers._GRAPHS, n, p), swept)
+            interior = [s for (_, clip, _), s in zip(walk(solvers._next_graph, n, p), swept)
                         if clip == (0, 0)]
             assert interior == [74304] * 4
