@@ -3,6 +3,9 @@
 Exit codes: 0 success, 2 input or feasibility error, 3 resource limit.
 Only gen random-monge is random, and all its randomness flows through its
 --seed; identical commands give identical output.
+
+Each command imports instances, solvers or structure itself, so a process
+loads only the modules its command runs.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import instances, io, structure
+from . import io
 from .core import (
     CostArray,
     CostRangeError,
@@ -19,14 +22,9 @@ from .core import (
     cost,
     InfeasibleSolutionError,
     DimensionError,
+    OracleSizeLimitError,
 )
 from .monge import NotLayeredMongeError
-from .solvers import (
-    OracleSizeLimitError,
-    solve_auto,
-    solve_bruteforce,
-    solve_dp,
-)
 
 DEFAULT_SEED = 20140501
 
@@ -41,16 +39,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _write(text: str, path=None):
+def _write(text, path=None):
+    """Writes text, a string or an iterable of strings, to path or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if path:
         try:
             # Bytes that came in through argv go back out as they came, as on stdout.
             with open(path, "w", encoding="utf-8", errors="surrogateescape") as f:
-                f.write(text)
+                f.writelines(chunks)
         except OSError as e:
             raise CliError(f"cannot write {path}: {e}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _load_instance(path) -> CostArray:
@@ -80,6 +80,8 @@ def _load_rectangle(path, C: CostArray = None) -> LatinRectangle:
 
 
 def cmd_gen(args) -> int:
+    from . import instances
+
     name = args.generator
     # DimensionError is a ValueError, and a negative seed raises one in numpy.
     try:
@@ -110,16 +112,18 @@ def cmd_gen(args) -> int:
     if args.format == "json":
         _write(io.instance_to_json(C) + "\n", args.output)
     else:
-        _write(io.format_instance(C, header_comment=provenance), args.output)
+        _write(io.instance_text_chunks(C, header_comment=provenance), args.output)
     return EXIT_OK
 
 
 def _solve(C: CostArray, solver: str, all_optima: bool):
+    from . import solvers
+
     if solver == "dp":
-        return solve_dp(C, all_optima_in_band=all_optima)
+        return solvers.solve_dp(C, all_optima_in_band=all_optima)
     if solver == "brute":
-        return solve_bruteforce(C, all_optima=all_optima)
-    return solve_auto(C, all_optima_in_band=all_optima)
+        return solvers.solve_bruteforce(C, all_optima=all_optima)
+    return solvers.solve_auto(C, all_optima_in_band=all_optima)
 
 
 def cmd_solve(args) -> int:
@@ -145,6 +149,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import structure
+
     C = _load_instance(args.input)
     try:
         sol = _load_rectangle(args.solution, C)
@@ -174,6 +180,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from . import structure
+
     C = _load_instance(args.input)
     sol = _load_rectangle(args.solution, C)
     before_cost = cost(C, sol)
@@ -195,6 +203,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_blocks(args) -> int:
+    from . import structure
+
     sol = _load_rectangle(args.solution)
     partition = structure.block_decompose(sol)
     _write(json.dumps(partition.to_list()) + "\n", args.output)

@@ -26,6 +26,10 @@ class CostRangeError(ValueError):
     """Cost entries too large for exact int64 cost sums and Monge checks."""
 
 
+class OracleSizeLimitError(ValueError):
+    """Instance past a solver's size budget (CLI exit 3)."""
+
+
 def _int64_entries(values, what: str) -> np.ndarray:
     """values as an int64 array.  The cast must change no entry, so a
     fraction, complex value, NaN, infinity, string or value past int64

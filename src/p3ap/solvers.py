@@ -18,12 +18,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import CostArray, LatinRectangle, _latin_rectangles
+from .core import CostArray, LatinRectangle, OracleSizeLimitError, _latin_rectangles
 from .monge import NotLayeredMongeError, is_layered_monge
-
-
-class OracleSizeLimitError(ValueError):
-    """Instance past a solver's size budget (CLI exit 3)."""
 
 
 class OptimaLimitError(OracleSizeLimitError):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,3 +234,139 @@ def test_bulk_parse_matches_the_row_loop(monkeypatch):
         assert got == want, (case, text)
         kinds.add(got[0])
     assert kinds == {"ok", "error"}
+
+
+def load_outcome(path):
+    try:
+        entries = load_instance(path).entries
+    except ValueError as e:  # FormatError, DimensionError or CostRangeError
+        return "error", type(e).__name__, str(e)
+    return "ok", entries.dtype.str, entries.flags.c_contiguous, entries.tolist()
+
+
+# None keeps the module's chunk of text; 1 and 7 characters cut every line,
+# "\r\n" and multi-line token between chunks.
+@pytest.mark.parametrize("chars", [None, 1, 7])
+def test_streamed_load_matches_parse_instance(tmp_path, monkeypatch, chars):
+    if chars is not None:
+        monkeypatch.setattr(p3ap_io, "_READ_CHARS", chars)
+    rng = random.Random(20140501)
+    path = tmp_path / "inst.txt"
+    kinds = set()
+    for case in range(2400):
+        text = fuzzed_body(rng)
+        path.write_text(text, encoding="utf-8")
+        got = load_outcome(path)
+        assert got == parse_outcome(text), (case, text)
+        kinds.add(got[0])
+    assert kinds == {"ok", "error"}
+
+
+def big_text(n=400, p=2, seed=3):
+    """Instance text of more than one chunk, and its entries."""
+    entries = np.random.default_rng(seed).integers(-10**6, 10**6, size=(n, n, p))
+    text = format_instance(CostArray(entries))
+    assert len(text) > 2 * p3ap_io._READ_CHARS
+    return text, entries
+
+
+def boundary_rows(text):
+    """Indices of the lines of text that end the first chunk and begin the
+    second: the line that holds the chunk's last character is both."""
+    cut = p3ap_io._READ_CHARS
+    line = text.count("\n", 0, cut)  # the line that holds character cut
+    return [line - 1, line, line + 1]
+
+
+def rows_replaced(text, edits):
+    lines = text.split("\n")
+    for index, edit in edits.items():
+        lines[index] = edit(lines[index])
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_bad_token_at_a_chunk_boundary(tmp_path, offset, where):
+    text, _ = big_text()
+    line = boundary_rows(text)[offset]
+    bad = (lambda s: "x" + s[1:]) if where == "first" else (lambda s: s + "x")
+    text = rows_replaced(text, {line: bad})
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    got = load_outcome(path)
+    assert got == parse_outcome(text)
+    # Line 0 is the header and line 1 the blank line before layer 1.
+    assert got[2].startswith(f"layer 1, row {line - 1}: invalid literal for int()")
+
+
+def test_non_ascii_row_mid_file_and_exact_chunk_ends(tmp_path):
+    text, entries = big_text()
+    lines = boundary_rows(text)
+    # Ideographic spaces and full-width digits send their chunk through the row loop.
+    text = rows_replaced(text, {
+        lines[2]: lambda s: s.replace(" ", "　"),
+        lines[2] + 7: lambda s: s.replace("1", "１"),
+        lines[2] + 20: lambda s: s + "\u2028",  # a line break of str.splitlines
+    })
+    path = tmp_path / "inst.txt"
+    path.write_text(text, encoding="utf-8")
+    assert load_outcome(path) == parse_outcome(text)
+    assert np.array_equal(load_instance(path).entries, entries)
+    # A chunk that ends exactly where a line ends.
+    start = text.index("\n", p3ap_io._READ_CHARS - 9000)
+    path.write_text(" " * (p3ap_io._READ_CHARS - start - 1) + text, encoding="utf-8")
+    assert np.array_equal(load_instance(path).entries, entries)
+
+
+def test_truncated_and_overlong_files_past_one_chunk(tmp_path):
+    text, _ = big_text()
+    lines = text.split("\n")
+    path = tmp_path / "inst.txt"
+    # Line 402 is the blank line before layer 2; cut after its 137th row.
+    path.write_text("\n".join(lines[:403 + 137]) + "\n")
+    with pytest.raises(FormatError, match="^truncated file: missing row 138 of layer 2$"):
+        load_instance(path)
+    # Cut inside the next row: the short row counts, and the file is too short.
+    path.write_text("\n".join(lines[:403 + 138]) + "\n" + lines[403 + 138][:20])
+    with pytest.raises(FormatError, match="^truncated file: missing row 140 of layer 2$"):
+        load_instance(path)
+    path.write_text(text + lines[5] + "\n")
+    with pytest.raises(FormatError, match="^header '400 2' announces 800 rows, got 801$"):
+        load_instance(path)
+
+
+def test_byte_past_the_first_chunks_that_is_not_utf8(tmp_path):
+    text, _ = big_text()
+    bad_row = text.encode()[:60000].rfind(b"\n") + 1
+    path = tmp_path / "inst.txt"
+    far = 2 * p3ap_io._READ_CHARS + 5
+    for at, bad in ((70000, bad_row), (far, bad_row), (far, 0)):
+        data = bytearray(text.encode())
+        data[at] = 0xFF
+        data[bad] = ord("x")  # a bad row or header before the byte does not hide it
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnicodeDecodeError) as caught:
+            load_instance(path)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            bytes(data).decode("utf-8")
+        assert str(caught.value) == str(whole.value)
+        assert f"in position {at}: invalid start byte" in str(caught.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("200000 1\n0\n", "^truncated file: missing row 2 of layer 1$"),
+    ("200000 1\n" + "0 " * 200000 + "\n", "^truncated file: missing row 2 of layer 1$"),
+    ("100000 1\n" + "0\n" * 100000, "^layer 1, row 1: expected 100000 values, got 1$"),
+])
+def test_streamed_load_allocates_no_more_than_the_text_holds(tmp_path, text, message):
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=message):
+            load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20  # the announced arrays are 320 GB and 74.5 GiB
